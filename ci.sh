@@ -16,7 +16,6 @@ cargo test -q -p oplog
 cargo clippy --all-targets -- -D warnings
 cargo bench --no-run
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-# The deprecated batch drain() must keep steering callers at the
-# always-on daemon loop in its rendered deprecation note.
-grep -q 'superseded by the always-on loop' target/doc/sched/struct.Scheduler.html
-grep -q 'run_until' target/doc/sched/struct.Scheduler.html
+# The benchmark is its own workspace over these crates; --locked fails the
+# step if a manifest change would rewrite its lock file.
+cargo test -q --locked --offline --manifest-path auditbench/Cargo.toml

@@ -39,7 +39,7 @@ fn bench_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // Worker-count sweep: the same static pipeline (sharded crawl +
+    // Worker-count sweep: the same static pipeline (pooled crawl units +
     // work-stealing analysis) over a fixed 1,000-bot world.
     let mut group = c.benchmark_group("scaling/static_pipeline_workers");
     group.sample_size(10);

@@ -160,7 +160,7 @@ fn want(args: &Args, what: &str) -> bool {
     args.only.as_deref().map(|o| o == what).unwrap_or(true)
 }
 
-/// An [`AuditConfig`] with every `workers` knob (crawl shards, analysis
+/// An [`AuditConfig`] with every `workers` knob (crawl sessions, analysis
 /// pool, honeypot campaigns) set to `workers`.
 fn audit_config(honeypot_sample: usize, workers: usize) -> AuditConfig {
     let mut config = AuditConfig {

@@ -29,7 +29,7 @@ pub fn prepare_world(num_bots: usize, seed: u64) -> PreparedWorld {
     prepare_world_workers(num_bots, seed, 1)
 }
 
-/// [`prepare_world`] with every `workers` knob (crawl shards, analysis
+/// [`prepare_world`] with every `workers` knob (crawl sessions, analysis
 /// pool, honeypot campaigns) set to `workers`.
 pub fn prepare_world_workers(num_bots: usize, seed: u64, workers: usize) -> PreparedWorld {
     let eco = build_ecosystem(&EcosystemConfig::test_scale(num_bots, seed));

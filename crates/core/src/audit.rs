@@ -323,7 +323,7 @@ impl AuditBuilder {
 
     // ---- analysis ------------------------------------------------------
 
-    /// Worker count for every parallel stage (crawl shards, the analysis
+    /// Worker count for every parallel stage (crawl sessions, the analysis
     /// pool, honeypot campaigns): 1 = serial, N = a pool of N, 0 = one per
     /// core. Output is byte-identical regardless.
     pub fn workers(mut self, workers: usize) -> Self {

@@ -1,28 +1,27 @@
-//! Stage orchestration.
+//! The pipeline's configuration, its per-bot analysis, and its entry
+//! points.
 //!
-//! Stage 1 (data collection) shards inside [`crawl_listing`]. Stages 2 and
-//! 3 (traceability + code analysis) run here on a claim-counter worker
-//! pool: each worker owns its HTTP client, repeatedly claims the next
-//! unprocessed bot, and writes the audited result into that bot's slot, so
-//! output order — and therefore the serialized report — is independent of
-//! scheduling. Workers share a [`LinkCache`] and an [`AnalysisMemo`], so
-//! repeated GitHub links and boilerplate policies are resolved/scanned once
-//! across the whole population.
+//! [`AuditPipeline::run_full`] and [`AuditPipeline::run_static_stages`]
+//! run the stage flow of [`crate::resume`] with no store: the crawl fans
+//! its detail units out to per-worker scrape sessions, and stages 2 and 3
+//! (traceability + code analysis) run on a claim pool of per-worker HTTP
+//! clients sharing a [`LinkCache`] and an [`AnalysisMemo`], so repeated
+//! GitHub links and boilerplate policies are resolved/scanned once across
+//! the whole population. Results land in their bot's slot, so the
+//! serialized report is independent of scheduling.
 
 use codeanal::github::LinkOutcome;
 use codeanal::scanner::{scan_repository, ScanReport};
 use codeanal::{Language, LinkCache, ScannerKernelStats};
-use crawler::crawl::{crawl_listing_traced, resolve_workers, CrawlConfig, CrawlStats, CrawledBot};
+use crawler::crawl::{CrawlConfig, CrawlStats, CrawledBot};
 use honeypot::campaign::{BotUnderTest, Campaign, CampaignConfig, CampaignReport, GuildSnapshot};
 use honeypot::DiscordSubstrate;
 use netsim::client::{ClientConfig, HttpClient};
 use netsim::Network;
 use obs::{Obs, Span};
-use parking_lot::Mutex;
 use platform::PlatformKind;
 use policy::{AnalysisMemo, KeywordOntology, OntologyKernelStats, TraceabilityReport};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use synth::Ecosystem;
 use telegram_sim::TelegramSubstrate;
 
@@ -232,90 +231,16 @@ impl AuditPipeline {
     /// mounted world.
     ///
     /// Opens a `static` root span on the pipeline's [`Obs`]: the crawl
-    /// traces under it (per-page / per-detail children), and the analysis
-    /// pool adds one `worker` child per pool worker with per-bot `bot`
-    /// children keyed by listing index. Worker spans merge in the canonical
-    /// trace, so the dump is byte-identical at any worker count.
+    /// traces under a `crawl` child (a `listing` span with per-page
+    /// children, a `units` span with one `unit` child per detail unit), and
+    /// the analysis stage under an `analysis` child with per-bot `bot`
+    /// children keyed by listing index — keys depend only on the crawled
+    /// world, so the dump is byte-identical at any worker count.
     /// Memoization and kernel counters land in the registry under
     /// `analysis.*`, `policy.*`, and `code.*`.
     pub fn run_static_stages(&self, net: &Network) -> (Vec<AuditedBot>, CrawlStats) {
-        let root = self.obs.span("static");
-
-        // Stage 1: data collection.
-        let (crawled, stats) = crawl_listing_traced(net, &self.config.crawl, &self.obs, &root);
-
-        // Kernel counters are cumulative (per ontology instance / process-
-        // wide for the scanner), so snapshot before and publish deltas.
-        let policy_before = self.config.ontology.kernel_stats();
-        let code_before = codeanal::scanner_kernel_stats();
-
-        let links = LinkCache::new();
-        let memo = AnalysisMemo::new();
-        let workers = resolve_workers(self.config.workers);
-
-        let analysis_span = root.child("analysis");
-        let bots = if workers <= 1 || crawled.len() <= 1 {
-            // The serial path still opens one `worker` span so its trace
-            // merges byte-identically with a pooled run's worker spans.
-            let worker_span = analysis_span.child("worker");
-            let mut gh_client = self.analysis_client(net);
-            let bots: Vec<AuditedBot> = crawled
-                .into_iter()
-                .enumerate()
-                .map(|(idx, bot)| {
-                    let bot_span = worker_span.child_keyed("bot", idx as u64);
-                    let audited = self.audit_one(bot, &mut gh_client, &links, &memo);
-                    trace_audited(&bot_span, &audited);
-                    audited
-                })
-                .collect();
-            worker_span.record("bots", bots.len() as u64);
-            bots
-        } else {
-            // Claim-counter pool: each worker owns a client and repeatedly
-            // claims the next unclaimed bot, so fast bots (no GitHub link,
-            // no policy) don't leave a statically-assigned worker idle
-            // while another grinds through repo downloads.
-            let jobs: Vec<Mutex<Option<CrawledBot>>> =
-                crawled.into_iter().map(|b| Mutex::new(Some(b))).collect();
-            let slots: Vec<Mutex<Option<AuditedBot>>> =
-                (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers.min(jobs.len()) {
-                    let (jobs, slots, next) = (&jobs, &slots, &next);
-                    let (links, memo) = (&links, &memo);
-                    let analysis_span = &analysis_span;
-                    s.spawn(move |_| {
-                        let worker_span = analysis_span.child("worker");
-                        let mut processed = 0u64;
-                        let mut gh_client = self.analysis_client(net);
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= jobs.len() {
-                                break;
-                            }
-                            let bot = jobs[idx].lock().take().expect("job claimed once");
-                            let bot_span = worker_span.child_keyed("bot", idx as u64);
-                            let audited = self.audit_one(bot, &mut gh_client, links, memo);
-                            trace_audited(&bot_span, &audited);
-                            processed += 1;
-                            *slots[idx].lock() = Some(audited);
-                        }
-                        worker_span.record("bots", processed);
-                    });
-                }
-            })
-            .expect("analysis scope");
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every slot filled"))
-                .collect()
-        };
-        drop(analysis_span);
-
-        self.publish_analysis_metrics(&links, &memo, policy_before, code_before);
-        (bots, stats)
+        self.static_stages(net, None)
+            .expect("a run without a store has no journal to fail")
     }
 
     /// Mirror the shared-cache and kernel counters from one analysis run
@@ -476,14 +401,8 @@ impl AuditPipeline {
 
     /// Run everything.
     pub fn run_full(&self, eco: &Ecosystem) -> AuditReport {
-        let (bots, crawl_stats) = self.run_static_stages(&eco.net);
-        let honeypot = Some(self.run_honeypot(eco));
-        AuditReport {
-            platform: eco.kind,
-            bots,
-            crawl_stats,
-            honeypot,
-        }
+        self.run_stages(eco, None)
+            .expect("a run without a store has no journal to fail")
     }
 }
 

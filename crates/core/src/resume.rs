@@ -1,19 +1,22 @@
-//! The resumable incremental pipeline.
+//! The pipeline's one stage flow, with or without a crash-safe store.
 //!
 //! The paper's measurement ran for weeks and was restarted many times; every
-//! restart re-paid crawl and analysis work. This module routes the pipeline
-//! of [`crate::pipeline`] through a [`store::AuditStore`]: each completed
-//! unit of work — the listing traversal, every fixed-size chunk of detail
-//! pages, every per-bot analysis, the honeypot campaign — is durably
-//! journaled the moment it finishes, and analysis outputs live in a
-//! content-addressed artifact cache keyed by the bot's crawled bytes.
+//! restart re-paid crawl and analysis work. Every run of the pipeline —
+//! [`AuditPipeline::run_full`] included — goes through the flow in this
+//! module: the listing traversal, fixed-size chunks of detail pages, the
+//! per-bot analyses, and the honeypot campaign. Routed through a
+//! [`store::AuditStore`], each completed unit is durably journaled the
+//! moment it finishes, and analysis outputs live in a content-addressed
+//! artifact cache keyed by the bot's crawled bytes. Without a store the
+//! same flow skips every journal lookup, frame write, artifact key, and
+//! serialization.
 //!
 //! Two properties follow, and the test suite pins both down:
 //!
 //! * **Crash-equivalence.** A run killed after any number of frames, then
 //!   resumed, produces a canonical report byte-identical to an uninterrupted
 //!   run. This leans on the fabric's guarantee (proved by the
-//!   sharded-vs-serial tests) that request *content* is independent of
+//!   worker-count-invariance tests) that request *content* is independent of
 //!   request scheduling, so skipping already-journaled requests does not
 //!   perturb the remainder.
 //! * **Incrementality.** A fresh (non-resumed) run against a warm artifact
@@ -22,26 +25,26 @@
 //!   mirrored into the pipeline's obs registry under `store.*`) prove it.
 //!
 //! Journal layout is worker-count independent: detail pages are journaled in
-//! fixed [`CRAWL_UNIT_SIZE`] chunks whose session seeds depend only on the
-//! crawl seed and chunk index, and analyses are journaled per listing index.
+//! fixed [`CRAWL_UNIT_SIZE`] chunks and analyses per listing index. A frame
+//! that passes its CRC but does not decode is a miss, never a crash: it is
+//! counted under `store.journal.undecodable`, recomputed, and re-recorded.
 
-use crate::pipeline::{AuditConfig, AuditPipeline, AuditReport, AuditedBot, CodeFinding};
+use crate::pipeline::{
+    trace_audited, AuditConfig, AuditPipeline, AuditReport, AuditedBot, CodeFinding,
+};
 use codeanal::LinkCache;
 use crawler::crawl::{
-    crawl_detail_unit_traced, discover_listing_traced, resolve_workers, CrawlStats, CrawledBot,
-    DetailUnit, ListingIndex, SessionOverhead,
+    assemble, crawl_detail_unit, detail_session, discover_listing, resolve_workers, CrawlStats,
+    CrawledBot, DetailUnit, EncodedBot, ListingIndex, DETAIL_UNIT_SIZE,
 };
-use crawler::incremental::{
-    crawl_detail_unit_validated, discover_listing_validated, fetch_changed_hrefs, ValidatorStore,
-};
+use crawler::incremental::{fetch_changed_hrefs, ValidatorStore};
 use honeypot::campaign::{CampaignReport, GuildSnapshot};
-use obs::Severity;
-use parking_lot::Mutex;
+use netsim::Network;
+use obs::{claim_map, Severity, Span};
 use policy::{AnalysisMemo, DataPractice, TraceabilityReport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use store::{
     AuditStore, Backend, ContentHash, DiskBackend, MemBackend, StoreError, StoreStats,
@@ -61,10 +64,8 @@ pub const K_HONEYPOT: u16 = 0x0013;
 /// Journal frame kind: run-complete marker. Key 0.
 pub const K_COMPLETE: u16 = 0x0014;
 
-/// Detail hrefs per journaled crawl unit. Fixed (never derived from the
-/// worker count) so the journal layout is identical whatever parallelism
-/// produced it.
-pub const CRAWL_UNIT_SIZE: usize = 32;
+/// Detail hrefs per journaled crawl unit: the crawler's fixed unit size.
+pub const CRAWL_UNIT_SIZE: usize = DETAIL_UNIT_SIZE;
 
 /// Where and how a resumable run persists.
 #[derive(Clone)]
@@ -109,6 +110,17 @@ impl StoreConfig {
     pub fn killing_after(mut self, frames: u64) -> StoreConfig {
         self.kill_after_frames = Some(frames);
         self
+    }
+
+    /// Open the audit store for the run identified by `fingerprint`, with
+    /// the crash lever armed when configured.
+    fn open(&self, fingerprint: u64) -> Result<AuditStore, ResumeError> {
+        let store = AuditStore::open(self.backend.clone(), fingerprint, self.resume)
+            .map_err(ResumeError::Store)?;
+        if let Some(frames) = self.kill_after_frames {
+            store.set_kill_after(frames);
+        }
+        Ok(store)
     }
 }
 
@@ -230,11 +242,10 @@ fn artifact_key_raw(fingerprint: u64, bot_json: &[u8]) -> ContentHash {
 /// Everything the warm crawl path carries: the tenant's journaled
 /// validator cache, the set of detail hrefs the site's change ledger names
 /// since the cache's committed epoch, and the epoch to commit once the
-/// crawl completes. Absent (`None` at the call sites) the pipeline crawls
-/// cold — incrementality is a performance overlay, never a correctness
-/// dependency.
+/// crawl completes. Absent, the pipeline crawls cold — incrementality is a
+/// performance overlay, never a correctness dependency.
 pub(crate) struct IncrementalContext {
-    cache: Arc<ValidatorCache>,
+    cache: CacheStore,
     changed: BTreeSet<String>,
     epoch: u32,
 }
@@ -242,7 +253,7 @@ pub(crate) struct IncrementalContext {
 /// [`ValidatorStore`] over the journaled [`ValidatorCache`]. Write failures
 /// are swallowed: validators are performance state — a lost entry costs an
 /// extra full fetch on the next run, never a wrong crawl.
-struct CacheStore(Arc<ValidatorCache>);
+struct CacheStore(ValidatorCache);
 
 impl ValidatorStore for CacheStore {
     fn get(&self, key: &str) -> Option<Vec<u8>> {
@@ -252,6 +263,16 @@ impl ValidatorStore for CacheStore {
     fn put(&self, key: &str, value: &[u8]) {
         let _ = self.0.put(key, value);
     }
+}
+
+/// One journaled run: the open store, the fingerprint its artifact keys
+/// hash under, and the warm crawl overlay when armed. The stage flow takes
+/// `Option<Journaled>` — `None` is the in-memory run.
+#[derive(Clone, Copy)]
+pub(crate) struct Journaled<'a> {
+    store: &'a AuditStore,
+    fingerprint: u64,
+    inc: Option<&'a IncrementalContext>,
 }
 
 /// The content address of one honeypot guild's cached transcript. Keyed on
@@ -301,23 +322,18 @@ impl AuditPipeline {
         world_seed: u64,
     ) -> Result<ResumableOutcome, ResumeError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        let store = AuditStore::open(store_cfg.backend.clone(), fingerprint, store_cfg.resume)
-            .map_err(ResumeError::Store)?;
-        if let Some(frames) = store_cfg.kill_after_frames {
-            store.set_kill_after(frames);
-        }
-        self.run_with_store(eco, &store, fingerprint)
+        self.run_with_store(eco, &store_cfg.open(fingerprint)?, fingerprint)
     }
 
     /// [`Self::run_resumable`] with the conditional-fetch warm path armed.
     ///
     /// Opens the tenant's validator cache next to the artifact pack, asks
     /// the listing site which bots changed since the cache's committed
-    /// epoch, and routes the crawl through the validated variants: an
-    /// unchanged page costs one bodyless 304 round-trip, a ledger-named
-    /// page is always re-fetched in full. If the change feed is
-    /// unreachable or the cache cannot open, the run silently degrades to
-    /// the cold path — the report is byte-identical either way.
+    /// epoch, and hands the crawl the cache: an unchanged page costs one
+    /// bodyless 304 round-trip, a ledger-named page is always re-fetched
+    /// in full. If the change feed is unreachable or the cache cannot
+    /// open, the run silently degrades to the cold path — the report is
+    /// byte-identical either way.
     pub fn run_incremental(
         &self,
         eco: &Ecosystem,
@@ -326,14 +342,9 @@ impl AuditPipeline {
         epoch: u32,
     ) -> Result<ResumableOutcome, ResumeError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        let store = AuditStore::open(store_cfg.backend.clone(), fingerprint, store_cfg.resume)
-            .map_err(ResumeError::Store)?;
-        if let Some(frames) = store_cfg.kill_after_frames {
-            store.set_kill_after(frames);
-        }
+        let store = store_cfg.open(fingerprint)?;
         let inc = ValidatorCache::open(store_cfg.backend.clone(), fingerprint)
             .ok()
-            .map(Arc::new)
             .and_then(|cache| {
                 let changed = fetch_changed_hrefs(
                     &eco.net,
@@ -342,7 +353,7 @@ impl AuditPipeline {
                     &self.obs,
                 )?;
                 Some(IncrementalContext {
-                    cache,
+                    cache: CacheStore(cache),
                     changed,
                     epoch,
                 })
@@ -354,7 +365,14 @@ impl AuditPipeline {
                 "change feed unavailable — crawling cold",
             );
         }
-        self.run_with_store_inner(eco, &store, fingerprint, inc.as_ref())
+        self.run_journaled(
+            eco,
+            Journaled {
+                store: &store,
+                fingerprint,
+                inc: inc.as_ref(),
+            },
+        )
     }
 
     /// [`Self::run_resumable`] against an already-open store handle. Tests
@@ -365,281 +383,333 @@ impl AuditPipeline {
         store: &AuditStore,
         fingerprint: u64,
     ) -> Result<ResumableOutcome, ResumeError> {
-        self.run_with_store_inner(eco, store, fingerprint, None)
+        self.run_journaled(
+            eco,
+            Journaled {
+                store,
+                fingerprint,
+                inc: None,
+            },
+        )
     }
 
-    fn run_with_store_inner(
+    fn run_journaled(
         &self,
         eco: &Ecosystem,
-        store: &AuditStore,
-        fingerprint: u64,
-        inc: Option<&IncrementalContext>,
+        run: Journaled<'_>,
     ) -> Result<ResumableOutcome, ResumeError> {
-        let net = &eco.net;
-        let clock = net.clock();
-        let started = clock.now();
-        let root = self.obs.span("static");
+        let report = self.run_stages(eco, Some(run))?;
+        let store = run.store;
+        if store.lookup_unit(K_COMPLETE, 0).is_none() {
+            record(store, K_COMPLETE, 0, Vec::new())?;
+        }
+        let store_stats = store.stats();
+        for (name, value) in [
+            ("store.journal.frames_written", store_stats.frames_written),
+            ("store.journal.replayed", store_stats.frames_replayed),
+            ("store.artifacts.hits", store_stats.artifact_hits),
+            ("store.artifacts.misses", store_stats.artifact_misses),
+        ] {
+            self.obs.counter(name).add(value);
+        }
+        Ok(ResumableOutcome {
+            report,
+            store_stats,
+            referenced_keys: store.referenced_keys(),
+        })
+    }
 
-        // --- Stage 1a: listing traversal (one journal unit).
-        let listing: ListingIndex = match store.lookup_unit(K_LISTING, 0) {
-            Some(bytes) => {
+    /// Every stage, journaled through `run` when given.
+    pub(crate) fn run_stages(
+        &self,
+        eco: &Ecosystem,
+        run: Option<Journaled<'_>>,
+    ) -> Result<AuditReport, ResumeError> {
+        let (bots, crawl_stats) = self.static_stages(&eco.net, run)?;
+        let honeypot = self.honeypot_stage(eco, run)?;
+        Ok(AuditReport {
+            platform: eco.kind,
+            bots,
+            crawl_stats,
+            honeypot: Some(honeypot),
+        })
+    }
+
+    /// Data collection, traceability, and code analysis under one `static`
+    /// root span.
+    pub(crate) fn static_stages(
+        &self,
+        net: &Network,
+        run: Option<Journaled<'_>>,
+    ) -> Result<(Vec<AuditedBot>, CrawlStats), ResumeError> {
+        let root = self.obs.span("static");
+        let (crawled, stats) = self.crawl_stage(net, run, &root)?;
+        if let Some(ctx) = run.and_then(|r| r.inc) {
+            self.commit_validators(ctx);
+        }
+        let bots = self.analysis_stage(net, crawled, run, &root)?;
+        Ok((bots, stats))
+    }
+
+    /// Stage 1 under a `crawl` span: the listing, then its detail pages in
+    /// fixed [`CRAWL_UNIT_SIZE`] units on a claim pool of
+    /// `crawl.workers` sessions, each reused across the units its worker
+    /// claims. A journaled run replays finished units and records each new
+    /// one the moment it completes, so a crash preserves every completed
+    /// unit regardless of order — except with the validator cache armed:
+    /// the cache itself is then the crash-safe carrier for crawl state (a
+    /// resumed run 304s its way back in less time than the frames cost to
+    /// serialize), so the crawl journals nothing.
+    fn crawl_stage(
+        &self,
+        net: &Network,
+        run: Option<Journaled<'_>>,
+        root: &Span,
+    ) -> Result<(Vec<EncodedBot>, CrawlStats), ResumeError> {
+        let config = &self.config.crawl;
+        let started = net.clock().now();
+        let span = root.child("crawl");
+        let store = run.map(|r| r.store);
+        let journal = run.filter(|r| r.inc.is_none()).map(|r| r.store);
+        let validators = run
+            .and_then(|r| r.inc)
+            .map(|ctx| (&ctx.cache as &dyn ValidatorStore, &ctx.changed));
+
+        let listing = match store.and_then(|s| self.replay::<ListingIndex>(s, K_LISTING, 0)) {
+            Some(listing) => {
                 self.obs
                     .event(Severity::Info, "store.journal", "listing replayed");
-                root.child("listing").record("replayed", 1);
-                serde_json::from_slice(&bytes).expect("listing frame decodes")
+                span.child("listing").record("replayed", 1);
+                listing
             }
             None => {
-                // With the validator cache armed, the cache itself is the
-                // crash-safe carrier for crawl state: a resumed run replays
-                // validators and 304s its way back in less time than the
-                // journal frame costs to serialize, so the crawl stages
-                // journal nothing.
-                match inc {
-                    Some(ctx) => discover_listing_validated(
-                        net,
-                        &self.config.crawl,
-                        &CacheStore(ctx.cache.clone()),
-                        &self.obs,
-                        &root,
-                    ),
-                    None => {
-                        let listing =
-                            discover_listing_traced(net, &self.config.crawl, &self.obs, &root);
-                        let bytes = serde_json::to_vec(&listing).expect("listing serializes");
-                        record(store, K_LISTING, 0, bytes)?;
-                        listing
-                    }
+                let listing =
+                    discover_listing(net, config, validators.map(|v| v.0), &self.obs, &span);
+                if let Some(store) = journal {
+                    let bytes = serde_json::to_vec(&listing).expect("listing serializes");
+                    record(store, K_LISTING, 0, bytes)?;
                 }
+                listing
             }
         };
 
-        // --- Stage 1b: detail pages in fixed-size chunks. Chunks fan out to
-        // a claim-counter pool; each finished chunk journals immediately, so
-        // a crash preserves every *completed* chunk regardless of order.
-        let chunks: Vec<&[String]> = listing.hrefs.chunks(CRAWL_UNIT_SIZE).collect();
-        let units_span = root.child("units");
-        let units = self.run_unit_pool(chunks.len(), |unit| {
-            match store.lookup_unit(K_CRAWL_UNIT, unit as u64) {
-                Some(bytes) => {
-                    units_span
-                        .child_keyed("unit", unit as u64)
-                        .record("replayed", 1);
-                    let decoded: DetailUnit =
-                        serde_json::from_slice(&bytes).expect("crawl unit frame decodes");
-                    Ok((decoded, Vec::new()))
+        let units_span = span.child("units");
+        let units = claim_map(
+            listing.hrefs.chunks(CRAWL_UNIT_SIZE).collect(),
+            resolve_workers(config.workers),
+            |worker| detail_session(net, config, worker),
+            |session, unit, hrefs: &[String]| {
+                let key = unit as u64;
+                if let Some(done) =
+                    store.and_then(|s| self.replay::<DetailUnit>(s, K_CRAWL_UNIT, key))
+                {
+                    units_span.child_keyed("unit", key).record("replayed", 1);
+                    return Ok((done, Vec::new()));
                 }
-                None => {
-                    let out = match inc {
-                        Some(ctx) => crawl_detail_unit_validated(
-                            net,
-                            &self.config.crawl,
-                            chunks[unit],
-                            unit as u64,
-                            &CacheStore(ctx.cache.clone()),
-                            &ctx.changed,
-                            &self.obs,
-                            &units_span,
-                        ),
-                        None => {
-                            let out = crawl_detail_unit_traced(
-                                net,
-                                &self.config.crawl,
-                                chunks[unit],
-                                unit as u64,
-                                &self.obs,
-                                &units_span,
-                            );
-                            let bytes = serde_json::to_vec(&out).expect("crawl unit serializes");
-                            record(store, K_CRAWL_UNIT, unit as u64, bytes)?;
-                            (out, Vec::new())
-                        }
-                    };
-                    Ok(out)
+                let out = crawl_detail_unit(
+                    session,
+                    config,
+                    hrefs,
+                    key,
+                    validators,
+                    &self.obs,
+                    &units_span,
+                );
+                if let Some(store) = journal {
+                    let bytes = serde_json::to_vec(&out.0).expect("crawl unit serializes");
+                    record(store, K_CRAWL_UNIT, key, bytes)?;
                 }
-            }
-        })?;
+                Ok(out)
+            },
+        )?;
         drop(units_span);
 
-        let mut crawl_stats = CrawlStats {
-            pages: listing.pages,
-            duration: netsim::clock::SimDuration::ZERO,
-            ..CrawlStats::default()
-        };
-        let mut overhead = listing.overhead;
-        let mut crawled: Vec<CrawledBot> = Vec::with_capacity(listing.hrefs.len());
-        // Raw serialized bytes per crawled bot, aligned with `crawled`. The
-        // validated crawl hands these back (cache bodies for 304'd bots,
-        // fresh serializations for fetched ones) so the analysis stage can
-        // hash artifact keys without re-serializing every bot; the plain and
-        // replayed paths return no bytes and fall back to serializing.
-        let mut raws: Vec<Option<Vec<u8>>> = Vec::with_capacity(listing.hrefs.len());
-        for (
-            DetailUnit {
-                results,
-                overhead: unit_overhead,
-            },
-            raw,
-        ) in units
-        {
-            overhead.absorb(&unit_overhead);
-            let mut raw = raw.into_iter().chain(std::iter::repeat_with(|| None));
-            for result in results {
-                let bytes = raw.next().expect("padded iterator never ends");
-                match result {
-                    Some(bot) => {
-                        crawl_stats.bots += 1;
-                        crawled.push(bot);
-                        raws.push(bytes);
-                    }
-                    None => crawl_stats.failures += 1,
-                }
-            }
-        }
-        let SessionOverhead {
-            captchas_solved,
-            captcha_spend_dollars,
-            email_verifications,
-        } = overhead;
-        crawl_stats.captchas_solved = captchas_solved;
-        crawl_stats.captcha_spend_dollars = captcha_spend_dollars;
-        crawl_stats.email_verifications = email_verifications;
+        let (crawled, mut stats) = assemble(&listing, units);
+        stats.duration = net.clock().now().duration_since(started);
+        // Deterministic totals go on the span; scheduling-dependent
+        // overhead (captchas, spend, virtual duration) goes to metrics only.
+        span.record("pages", stats.pages as u64);
+        span.record("bots", stats.bots as u64);
+        span.record("failures", stats.failures as u64);
+        Ok((crawled, stats))
+    }
 
-        // The crawl is complete: every validator entry now reflects this
-        // epoch's content, so advance the cache's committed epoch. A crash
-        // before this line leaves the older epoch on disk — the next run's
-        // changed set is then a superset of the truth, which costs extra
-        // fetches but can never reuse stale bytes.
-        if let Some(ctx) = inc {
-            if let Err(e) = ctx.cache.commit_epoch(ctx.epoch) {
-                self.obs.event(
-                    Severity::Warn,
-                    "store.validators",
-                    format!("epoch commit failed: {e}"),
-                );
-            }
-            let vstats = ctx.cache.stats();
-            self.obs
-                .counter("store.validators.entries")
-                .add(vstats.entries);
-            self.obs
-                .counter("store.validators.replayed")
-                .add(vstats.replayed);
-            if vstats.reset {
-                self.obs.counter("store.validators.reset").incr();
-            }
+    /// The crawl is complete: every validator entry now reflects this
+    /// epoch's content, so advance the cache's committed epoch. A crash
+    /// before this point leaves the older epoch on disk — the next run's
+    /// changed set is then a superset of the truth, which costs extra
+    /// fetches but can never reuse stale bytes.
+    fn commit_validators(&self, ctx: &IncrementalContext) {
+        let cache = &ctx.cache.0;
+        if let Err(e) = cache.commit_epoch(ctx.epoch) {
+            self.obs.event(
+                Severity::Warn,
+                "store.validators",
+                format!("epoch commit failed: {e}"),
+            );
         }
+        let vstats = cache.stats();
+        self.obs
+            .counter("store.validators.entries")
+            .add(vstats.entries);
+        self.obs
+            .counter("store.validators.replayed")
+            .add(vstats.replayed);
+        if vstats.reset {
+            self.obs.counter("store.validators.reset").incr();
+        }
+    }
 
-        // --- Stages 2/3: per-bot analysis through the artifact cache.
+    /// Stages 2/3 under an `analysis` span with one `bot` child per
+    /// listing index, on a claim pool of `workers` GitHub clients sharing
+    /// one [`LinkCache`] and one [`AnalysisMemo`], so repeated links and
+    /// boilerplate policies are resolved/scanned once across the whole
+    /// population. A journaled run serves unchanged bots from the artifact
+    /// pack instead.
+    fn analysis_stage(
+        &self,
+        net: &Network,
+        crawled: Vec<EncodedBot>,
+        run: Option<Journaled<'_>>,
+        root: &Span,
+    ) -> Result<Vec<AuditedBot>, ResumeError> {
+        // Kernel counters are cumulative (per ontology instance / process-
+        // wide for the scanner), so snapshot before and publish deltas.
         let policy_before = self.config.ontology.kernel_stats();
         let code_before = codeanal::scanner_kernel_stats();
         let links = LinkCache::new();
         let memo = AnalysisMemo::new();
-
-        let jobs: Vec<Mutex<Option<CrawledBot>>> =
-            crawled.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let gh_clients: Mutex<Vec<netsim::client::HttpClient>> = Mutex::new(Vec::new());
-        let analysis_span = root.child("analysis");
-        let analysis_span_ref = &analysis_span;
-        let raws_ref = &raws;
-        let bots = self.run_unit_pool(jobs.len(), |idx| {
-            let bot_span = analysis_span_ref.child_keyed("bot", idx as u64);
-            let bot = jobs[idx].lock().take().expect("job claimed once");
-            let key = match store.lookup_unit(K_ANALYSIS, idx as u64) {
-                Some(payload) => ContentHash::from_bytes(&payload)
-                    .expect("analysis frame payload is a content hash"),
-                None => match raws_ref[idx].as_deref() {
-                    Some(bytes) => artifact_key_raw(fingerprint, bytes),
-                    None => artifact_key(fingerprint, &bot),
-                },
-            };
-            let artifact: AnalysisArtifact = match store.artifact_get(&key) {
-                Some(blob) => {
-                    bot_span.record("artifact_hit", 1);
-                    serde_json::from_slice(&blob).expect("analysis artifact decodes")
-                }
-                None => {
-                    // Workers keep their clients across claims (pop/push
-                    // around the analysis) so politeness state persists the
-                    // way the plain pipeline's per-worker clients do.
-                    let mut gh_client = gh_clients
-                        .lock()
-                        .pop()
-                        .unwrap_or_else(|| self.analysis_client(net));
-                    let audited = self.audit_one(bot.clone(), &mut gh_client, &links, &memo);
-                    gh_clients.lock().push(gh_client);
-                    let artifact = AnalysisArtifact {
-                        traceability: audited.traceability,
-                        code: audited.code,
-                    };
-                    let blob = serde_json::to_vec(&artifact).expect("artifact serializes");
-                    store.artifact_put(key, &blob).map_err(ResumeError::Store)?;
-                    artifact
-                }
-            };
-            if store.lookup_unit(K_ANALYSIS, idx as u64).is_none() {
-                record(store, K_ANALYSIS, idx as u64, key.0.to_vec())?;
-            }
-            let audited = AuditedBot {
-                crawled: bot,
-                traceability: artifact.traceability,
-                code: artifact.code,
-            };
-            crate::pipeline::trace_audited(&bot_span, &audited);
-            Ok(audited)
-        })?;
-        drop(analysis_span);
-
-        // Close the static root before the honeypot opens its own.
+        let span = root.child("analysis");
+        let bots = claim_map(
+            crawled,
+            resolve_workers(self.config.workers),
+            |_| self.analysis_client(net),
+            |gh_client, idx, (bot, raw)| {
+                let bot_span = span.child_keyed("bot", idx as u64);
+                let mut analyze = |bot| self.audit_one(bot, gh_client, &links, &memo);
+                let audited = match run {
+                    None => analyze(bot),
+                    Some(run) => {
+                        self.analyze_journaled(run, idx as u64, bot, raw, &bot_span, analyze)?
+                    }
+                };
+                trace_audited(&bot_span, &audited);
+                Ok(audited)
+            },
+        )?;
+        drop(span);
         self.publish_analysis_metrics(&links, &memo, policy_before, code_before);
-        drop(root);
+        Ok(bots)
+    }
 
-        // --- Stage 4: honeypot campaign (one journal unit).
-        let honeypot: CampaignReport = match store.lookup_unit(K_HONEYPOT, 0) {
-            Some(bytes) => {
-                self.obs
-                    .event(Severity::Info, "store.journal", "honeypot replayed");
-                serde_json::from_slice(&bytes).expect("honeypot frame decodes")
+    /// One bot's analysis through the artifact pack: at the journaled
+    /// address (or the one its crawled bytes hash to), a hit serves the
+    /// stored artifact and a miss runs `analyze` and stores the result.
+    /// The address is journaled once per listing index. A blob that does
+    /// not decode counts as a miss; puts are idempotent per address, so it
+    /// stays in the pack and is recomputed on every run that meets it.
+    fn analyze_journaled(
+        &self,
+        run: Journaled<'_>,
+        idx: u64,
+        bot: CrawledBot,
+        raw: Option<Vec<u8>>,
+        bot_span: &Span,
+        analyze: impl FnOnce(CrawledBot) -> AuditedBot,
+    ) -> Result<AuditedBot, ResumeError> {
+        let store = run.store;
+        let journaled = store.lookup_unit(K_ANALYSIS, idx).and_then(|payload| {
+            let key = ContentHash::from_bytes(&payload);
+            if key.is_none() {
+                self.undecodable(K_ANALYSIS, idx);
+            }
+            key
+        });
+        let key = journaled.unwrap_or_else(|| match &raw {
+            Some(bytes) => artifact_key_raw(run.fingerprint, bytes),
+            None => artifact_key(run.fingerprint, &bot),
+        });
+        let stored: Option<AnalysisArtifact> = store
+            .artifact_get(&key)
+            .and_then(|blob| self.decode(&blob, K_ANALYSIS, idx));
+        let audited = match stored {
+            Some(AnalysisArtifact { traceability, code }) => {
+                bot_span.record("artifact_hit", 1);
+                AuditedBot {
+                    crawled: bot,
+                    traceability,
+                    code,
+                }
             }
             None => {
-                let report = match inc {
-                    Some(_) => self.run_honeypot_reusing(eco, store, fingerprint),
-                    None => self.run_honeypot(eco),
-                };
-                let bytes = serde_json::to_vec(&report).expect("campaign serializes");
-                record(store, K_HONEYPOT, 0, bytes)?;
-                report
+                let AuditedBot {
+                    crawled,
+                    traceability,
+                    code,
+                } = analyze(bot);
+                let artifact = AnalysisArtifact { traceability, code };
+                let blob = serde_json::to_vec(&artifact).expect("artifact serializes");
+                store.artifact_put(key, &blob).map_err(ResumeError::Store)?;
+                AuditedBot {
+                    crawled,
+                    traceability: artifact.traceability,
+                    code: artifact.code,
+                }
             }
         };
-
-        if store.lookup_unit(K_COMPLETE, 0).is_none() {
-            record(store, K_COMPLETE, 0, Vec::new())?;
+        if journaled.is_none() {
+            record(store, K_ANALYSIS, idx, key.0.to_vec())?;
         }
+        Ok(audited)
+    }
 
-        let store_stats = store.stats();
-        self.obs
-            .counter("store.journal.frames_written")
-            .add(store_stats.frames_written);
-        self.obs
-            .counter("store.journal.replayed")
-            .add(store_stats.frames_replayed);
-        self.obs
-            .counter("store.artifacts.hits")
-            .add(store_stats.artifact_hits);
-        self.obs
-            .counter("store.artifacts.misses")
-            .add(store_stats.artifact_misses);
+    /// Stage 4, journaled as one unit when `run` is given.
+    fn honeypot_stage(
+        &self,
+        eco: &Ecosystem,
+        run: Option<Journaled<'_>>,
+    ) -> Result<CampaignReport, ResumeError> {
+        let Some(run) = run else {
+            return Ok(self.run_honeypot(eco));
+        };
+        if let Some(report) = self.replay(run.store, K_HONEYPOT, 0) {
+            self.obs
+                .event(Severity::Info, "store.journal", "honeypot replayed");
+            return Ok(report);
+        }
+        let report = match run.inc {
+            Some(_) => self.run_honeypot_reusing(eco, run.store, run.fingerprint),
+            None => self.run_honeypot(eco),
+        };
+        let bytes = serde_json::to_vec(&report).expect("campaign serializes");
+        record(run.store, K_HONEYPOT, 0, bytes)?;
+        Ok(report)
+    }
 
-        crawl_stats.duration = clock.now().duration_since(started);
-        Ok(ResumableOutcome {
-            report: AuditReport {
-                platform: eco.kind,
-                bots,
-                crawl_stats,
-                honeypot: Some(honeypot),
-            },
-            store_stats,
-            referenced_keys: store.referenced_keys(),
-        })
+    /// The journaled payload of unit `(kind, key)`, decoded, if any.
+    fn replay<T: Deserialize>(&self, store: &AuditStore, kind: u16, key: u64) -> Option<T> {
+        self.decode(&store.lookup_unit(kind, key)?, kind, key)
+    }
+
+    /// Decode a journal payload or artifact blob. One that passed its CRC
+    /// but not the decoder — say, written by an older build under the same
+    /// fingerprint — is a miss: the caller recomputes and re-records the
+    /// unit, and the later frame wins on replay.
+    fn decode<T: Deserialize>(&self, bytes: &[u8], kind: u16, key: u64) -> Option<T> {
+        let decoded = serde_json::from_slice(bytes).ok();
+        if decoded.is_none() {
+            self.undecodable(kind, key);
+        }
+        decoded
+    }
+
+    fn undecodable(&self, kind: u16, key: u64) {
+        self.obs.counter("store.journal.undecodable").incr();
+        self.obs.event(
+            Severity::Warn,
+            "store.journal",
+            format!("unit {kind:#06x}/{key} does not decode — recomputing"),
+        );
     }
 
     /// Drift-aware honeypot stage: guild transcripts live in the artifact
@@ -699,61 +769,6 @@ impl AuditPipeline {
             }
         }
         report
-    }
-
-    /// Claim-counter pool over `count` indexed units. Results land in their
-    /// unit's slot, so output order is scheduling-independent. The first
-    /// error (interrupt or backend failure) stops all workers from claiming
-    /// further units and is returned; completed units' journal frames are
-    /// already durable.
-    fn run_unit_pool<T, F>(&self, count: usize, work: F) -> Result<Vec<T>, ResumeError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, ResumeError> + Sync,
-        Self: Sync,
-    {
-        let workers = resolve_workers(self.config.workers).min(count.max(1));
-        if workers <= 1 || count <= 1 {
-            return (0..count).map(&work).collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let dead = AtomicBool::new(false);
-        let first_error: Mutex<Option<ResumeError>> = Mutex::new(None);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                let (slots, next, dead, first_error) = (&slots, &next, &dead, &first_error);
-                let work = &work;
-                s.spawn(move |_| loop {
-                    if dead.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= count {
-                        break;
-                    }
-                    match work(idx) {
-                        Ok(out) => *slots[idx].lock() = Some(out),
-                        Err(e) => {
-                            dead.store(true, Ordering::Relaxed);
-                            let mut guard = first_error.lock();
-                            if guard.is_none() {
-                                *guard = Some(e);
-                            }
-                            break;
-                        }
-                    }
-                });
-            }
-        })
-        .expect("unit pool scope");
-        if let Some(e) = first_error.into_inner() {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every unit slot filled"))
-            .collect())
     }
 }
 

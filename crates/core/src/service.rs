@@ -8,7 +8,7 @@
 //!
 //! [`FleetService`] composes those pieces:
 //!
-//! * a [`sched::Scheduler`] provides lanes, deadlines, bounded admission
+//! * a [`sched::Daemon`] provides lanes, deadlines, bounded admission
 //!   and per-tenant rate limits, all on the shared virtual clock;
 //! * every tenant gets its own journal + artifact pack, namespaced inside
 //!   one root [`Backend`] via [`ScopedBackend`] — so a tenant's epoch-N+1

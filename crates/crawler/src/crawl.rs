@@ -3,12 +3,16 @@
 //! Traverses the "top chatbot" list page by page (the paper walked over 800
 //! pages), fetches every bot's detail page, validates its invite link,
 //! visits its website looking for a privacy policy, and returns the full
-//! measurement input set.
+//! measurement input set, through the three entry points the crate docs
+//! list. The two building blocks always trace: `Obs::disabled()` costs a
+//! null check.
 
 use crate::extract::{
     extract_bot_detail, extract_bot_links, extract_privacy_policy, extract_total_pages, ScrapedBot,
 };
-use crate::incremental::CachedListing;
+use crate::incremental::{
+    cache_listing, crawl_detail_cached, revalidate_listing, DetailCounters, ValidatorStore,
+};
 use crate::invite::{validate_invite, InviteStatus};
 use crate::session::ScrapeSession;
 use botlist::LIST_HOST;
@@ -16,9 +20,16 @@ use htmlsim::Locator;
 use netsim::clock::SimDuration;
 use netsim::http::{Status, Url};
 use netsim::Network;
-use obs::{Obs, Span};
+use obs::{claim_map, Obs, Span};
 use policy::PrivacyPolicy;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
+use std::convert::Infallible;
+
+/// Detail hrefs per [`crawl_detail_unit`] call. Fixed — never derived
+/// from the worker count — so a journal of units has the same layout
+/// whatever parallelism produced it.
+pub const DETAIL_UNIT_SIZE: usize = 32;
 
 /// Crawl parameters.
 #[derive(Debug, Clone)]
@@ -34,9 +45,10 @@ pub struct CrawlConfig {
     /// Use the polite session (rate-limited, jittered). The ablation sets
     /// this false.
     pub polite: bool,
-    /// Crawl shards: 1 = serial, N = fan page ranges and detail pages out
-    /// to N sessions, 0 = one per available core. Output is byte-identical
-    /// to the serial crawl regardless of the setting.
+    /// Detail-crawl workers: 1 = serial, N = a claim pool of N sessions
+    /// over the fixed [`DETAIL_UNIT_SIZE`] units, 0 = one per available
+    /// core. Output is byte-identical to the serial crawl regardless of
+    /// the setting.
     pub workers: usize,
     /// The listing site's host. Each platform's directory lives on its own
     /// domain (`top.gg.sim` for Discord, `tdirectory.sim` for Telegram);
@@ -134,9 +146,8 @@ pub struct CrawlStats {
     pub duration: SimDuration,
 }
 
-/// The per-page outcome of the listing traversal, merged in page order so
-/// a sharded crawl reproduces the serial traversal exactly.
-pub(crate) enum PageOutcome {
+/// The per-page outcome of the listing traversal, merged in page order.
+enum PageOutcome {
     /// The page never fetched (network failure after retries).
     FetchErr,
     /// The page fetched but its structure defeated extraction.
@@ -145,33 +156,19 @@ pub(crate) enum PageOutcome {
     Links(Vec<String>),
 }
 
-fn fetch_page(session: &mut ScrapeSession, host: &str, page: usize) -> PageOutcome {
-    fetch_page_meta(session, host, page).0
-}
-
-/// Fetch and classify one list page, also surfacing the content validator
+/// Fetch and parse one list page, also surfacing the content validator
 /// and body size the server attached — the raw material of the validator
-/// cache.
-pub(crate) fn fetch_page_meta(
+/// cache. `None` when the page did not fetch or parse.
+fn fetch_page(
     session: &mut ScrapeSession,
     host: &str,
     page: usize,
-) -> (PageOutcome, Option<String>, u64) {
+) -> Option<(htmlsim::Document, Option<String>, u64)> {
     let url = Url::https(host, "/list").with_query("page", &page.to_string());
-    let resp = match session.fetch(url) {
-        Ok(r) => r,
-        Err(_) => return (PageOutcome::FetchErr, None, 0),
-    };
-    if !resp.status.is_success() {
-        return (PageOutcome::FetchErr, None, 0);
-    }
+    let resp = session.fetch(url).ok().filter(|r| r.status.is_success())?;
+    let doc = htmlsim::parse_document(&resp.text()).ok()?;
     let etag = resp.header("etag").map(str::to_string);
-    let bytes = resp.body.len() as u64;
-    let doc = match htmlsim::parse_document(&resp.text()) {
-        Ok(d) => d,
-        Err(_) => return (PageOutcome::FetchErr, None, 0),
-    };
-    (classify_page(&doc), etag, bytes)
+    Some((doc, etag, resp.body.len() as u64))
 }
 
 fn classify_page(doc: &htmlsim::Document) -> PageOutcome {
@@ -182,8 +179,7 @@ fn classify_page(doc: &htmlsim::Document) -> PageOutcome {
 }
 
 /// Record a page traversal outcome on its trace span. Page outcomes are
-/// session-independent (the sharded-vs-serial tests pin this down), so the
-/// fields are safe for the canonical trace.
+/// session-independent, so the fields are safe for the canonical trace.
 fn trace_page_outcome(span: &Span, outcome: &PageOutcome) {
     match outcome {
         PageOutcome::FetchErr => span.record("fetch_err", 1),
@@ -231,7 +227,7 @@ pub(crate) fn detail_url(host: &str, href: &str) -> Option<Url> {
 /// Crawl one bot detail page: scrape, validate the invite, hunt the policy.
 /// With `etag` attached the fetch is conditional and a 304 short-circuits
 /// the whole chain (no parse, no invite validation, no website visit).
-pub(crate) fn crawl_detail_validated(
+pub(crate) fn crawl_detail(
     session: &mut ScrapeSession,
     href: &str,
     config: &CrawlConfig,
@@ -301,264 +297,79 @@ pub(crate) fn crawl_detail_validated(
     }))
 }
 
-/// [`crawl_detail_validated`] without a validator, for the cold paths.
-fn crawl_detail(
-    session: &mut ScrapeSession,
-    href: &str,
-    config: &CrawlConfig,
-) -> Result<CrawledBot, ()> {
-    match crawl_detail_validated(session, href, config, None) {
-        DetailOutcome::Fetched(fetch) => Ok(fetch.bot),
-        _ => Err(()),
-    }
-}
-
-/// Fold one worker session's overhead counters into the crawl statistics.
-fn absorb_session(stats: &mut CrawlStats, session: &ScrapeSession) {
-    stats.captchas_solved += session.captchas_solved;
-    stats.captcha_spend_dollars += session.captcha_spend_dollars();
-    stats.email_verifications += session.email_verifications;
-}
-
-/// Contiguous shard `w` of `0..len` split across `workers` workers.
-fn shard_range(len: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
-    let chunk = len.div_ceil(workers.max(1));
-    let start = (w * chunk).min(len);
-    let end = ((w + 1) * chunk).min(len);
-    start..end
-}
-
-/// Run the data-collection stage against the mounted listing site.
+/// Run the whole data-collection stage against the mounted listing site:
+/// [`discover_listing`], then every [`DETAIL_UNIT_SIZE`] slice of the
+/// index through [`crawl_detail_unit`] on a claim pool of
+/// `config.workers` [`detail_session`]s, merged by [`assemble`].
 ///
-/// With `config.workers > 1` the traversal is sharded: page ranges and
-/// detail pages fan out to per-worker [`ScrapeSession`]s whose jitter RNGs
-/// are seeded `splitmix(config.seed, worker)`, and results merge back in
-/// page/listing order — the returned bots are byte-identical to a serial
-/// crawl of the same world. Per-session overhead (captchas, email
-/// verifications, virtual duration) legitimately varies with sharding and
-/// is reported as the sum over sessions.
+/// The returned bots are byte-identical at any worker count. Session
+/// overhead (captchas, email verifications, virtual duration) legitimately
+/// varies with the worker count and is reported as the sum over sessions.
 pub fn crawl_listing(net: &Network, config: &CrawlConfig) -> (Vec<CrawledBot>, CrawlStats) {
-    crawl_listing_traced(net, config, &Obs::disabled(), &Span::disabled())
+    let (obs, span) = (Obs::disabled(), Span::disabled());
+    let started = net.clock().now();
+    let listing = discover_listing(net, config, None, &obs, &span);
+    let Ok(units) = claim_map(
+        listing.hrefs.chunks(DETAIL_UNIT_SIZE).collect(),
+        resolve_workers(config.workers),
+        |worker| detail_session(net, config, worker),
+        |session, unit, hrefs: &[String]| {
+            let unit = crawl_detail_unit(session, config, hrefs, unit as u64, None, &obs, &span);
+            Ok::<_, Infallible>(unit)
+        },
+    );
+    let (bots, mut stats) = assemble(&listing, units);
+    stats.duration = net.clock().now().duration_since(started);
+    (bots.into_iter().map(|(bot, _)| bot).collect(), stats)
 }
 
-/// [`crawl_listing`] with observability attached.
-///
-/// Opens a `crawl` span under `parent` with one `page` child per list page
-/// (keyed by page index) and one `detail` child per listing entry (keyed by
-/// listing index) — keys depend only on the crawled world, never on the
-/// worker count, so the canonical trace is sharding-invariant. Metrics go
-/// to `obs` under `crawl.*`; scheduling-dependent values (captchas, page
-/// latency) live only there, never on spans.
-pub fn crawl_listing_traced(
-    net: &Network,
-    config: &CrawlConfig,
-    obs: &Obs,
-    parent: &Span,
-) -> (Vec<CrawledBot>, CrawlStats) {
-    let clock = net.clock();
-    let started = clock.now();
-    let workers = resolve_workers(config.workers);
-    let mut session = ScrapeSession::for_worker(net.clone(), config.seed, 0, config.polite);
+/// The session detail-pool worker `worker` crawls its units on. Worker
+/// sessions identify as distinct crawl machines (see
+/// [`ScrapeSession::for_worker`]), so per-requester defenses apply per
+/// worker exactly as they would to a distributed crawl fleet.
+pub fn detail_session(net: &Network, config: &CrawlConfig, worker: usize) -> ScrapeSession {
+    ScrapeSession::for_worker(
+        net.clone(),
+        netsim::splitmix(config.seed, 0x100 + worker as u64),
+        1 + worker,
+        config.polite,
+    )
+}
 
-    let span = parent.child("crawl");
-    let page_ms = obs.histogram("crawl.page_ms");
+/// A crawled bot plus its exact `serde_json::to_vec` encoding, when its
+/// detail unit handed one back.
+pub type EncodedBot = (CrawledBot, Option<Vec<u8>>);
 
-    let mut bots = Vec::new();
-    let mut stats = CrawlStats::default();
-
-    // Discover page count from page 0 (always the primary session).
-    let first = match session
-        .fetch_document(Url::https(&config.list_host, "/list").with_query("page", "0"))
-    {
-        Ok(doc) => doc,
-        Err(_) => {
-            span.record("listing_unreachable", 1);
-            stats.duration = clock.now().duration_since(started);
-            return (bots, stats);
-        }
+/// Fold a listing and its detail units — in unit order, each with the raw
+/// encodings [`crawl_detail_unit`] handed back — into the crawled bots and
+/// the crawl totals. A bot's raw encoding is `None` wherever its unit
+/// returned none. `duration` is left at zero for the caller, who knows
+/// when the crawl began.
+pub fn assemble(
+    listing: &ListingIndex,
+    units: Vec<(DetailUnit, Vec<Option<Vec<u8>>>)>,
+) -> (Vec<EncodedBot>, CrawlStats) {
+    let mut stats = CrawlStats {
+        pages: listing.pages,
+        ..CrawlStats::default()
     };
-    let total_pages = extract_total_pages(&first).unwrap_or(1);
-    let limit = config.max_pages.map_or(total_pages, |m| m.min(total_pages));
-
-    // Phase A: traverse list pages, collecting per-page outcomes.
-    let pages_span = span.child("pages");
-    let mut outcomes: Vec<PageOutcome> = Vec::with_capacity(limit);
-    if limit > 0 {
-        let first_outcome = classify_page(&first);
-        trace_page_outcome(&pages_span.child_keyed("page", 0), &first_outcome);
-        outcomes.push(first_outcome);
-    }
-    if workers <= 1 || limit <= 2 {
-        for page in 1..limit {
-            let page_span = pages_span.child_keyed("page", page as u64);
-            let t0 = clock.now();
-            let outcome = fetch_page(&mut session, &config.list_host, page);
-            page_ms.record(clock.now().duration_since(t0).as_millis());
-            trace_page_outcome(&page_span, &outcome);
-            outcomes.push(outcome);
-        }
-    } else {
-        let rest = limit - 1; // pages 1..limit
-        let shards = workers.min(rest);
-        let pages_span_ref = &pages_span;
-        let mut sharded: Vec<Vec<PageOutcome>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|w| {
-                    let net = net.clone();
-                    let page_ms = page_ms.clone();
-                    let clock = clock.clone();
-                    s.spawn(move |_| {
-                        let mut sess = ScrapeSession::for_worker(
-                            net,
-                            netsim::splitmix(config.seed, 1 + w as u64),
-                            1 + w,
-                            config.polite,
-                        );
-                        let range = shard_range(rest, shards, w);
-                        let out: Vec<PageOutcome> = range
-                            .map(|i| {
-                                let page_span = pages_span_ref.child_keyed("page", 1 + i as u64);
-                                let t0 = clock.now();
-                                let outcome = fetch_page(&mut sess, &config.list_host, 1 + i);
-                                page_ms.record(clock.now().duration_since(t0).as_millis());
-                                trace_page_outcome(&page_span, &outcome);
-                                outcome
-                            })
-                            .collect();
-                        (
-                            out,
-                            sess.captchas_solved,
-                            sess.captcha_spend_dollars(),
-                            sess.email_verifications,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (out, captchas, spend, emails) = h.join().expect("page shard panicked");
-                    stats.captchas_solved += captchas;
-                    stats.captcha_spend_dollars += spend;
-                    stats.email_verifications += emails;
-                    out
-                })
-                .collect()
-        })
-        .expect("page scope");
-        for shard in &mut sharded {
-            outcomes.append(shard);
-        }
-    }
-
-    // Merge in page order with the serial traversal's semantics: fetch
-    // failures skip the page, an empty page ends the listing.
-    let mut hrefs: Vec<String> = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            PageOutcome::FetchErr => continue,
-            PageOutcome::ExtractErr => stats.pages += 1,
-            PageOutcome::Links(links) => {
-                stats.pages += 1;
-                if links.is_empty() {
-                    break; // past the end
-                }
-                hrefs.extend(links);
-            }
-        }
-    }
-    drop(pages_span);
-
-    // Phase B: detail pages, sharded in listing order.
-    let details_span = span.child("details");
-    if workers <= 1 || hrefs.len() <= 1 {
-        for (i, href) in hrefs.iter().enumerate() {
-            let detail_span = details_span.child_keyed("detail", i as u64);
-            match crawl_detail(&mut session, href, config) {
-                Ok(bot) => {
-                    detail_span.record("ok", 1);
-                    stats.bots += 1;
-                    bots.push(bot);
-                }
-                Err(()) => {
-                    detail_span.record("failed", 1);
-                    stats.failures += 1;
-                }
-            }
-        }
-    } else {
-        let shards = workers.min(hrefs.len());
-        let hrefs_ref = &hrefs;
-        let details_span_ref = &details_span;
-        let results: Vec<Vec<Result<CrawledBot, ()>>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|w| {
-                    let net = net.clone();
-                    s.spawn(move |_| {
-                        let mut sess = ScrapeSession::for_worker(
-                            net,
-                            netsim::splitmix(config.seed, 0x100 + w as u64),
-                            1 + w,
-                            config.polite,
-                        );
-                        let out: Vec<Result<CrawledBot, ()>> =
-                            shard_range(hrefs_ref.len(), shards, w)
-                                .map(|i| {
-                                    let detail_span =
-                                        details_span_ref.child_keyed("detail", i as u64);
-                                    let result = crawl_detail(&mut sess, &hrefs_ref[i], config);
-                                    detail_span
-                                        .record(if result.is_ok() { "ok" } else { "failed" }, 1);
-                                    result
-                                })
-                                .collect();
-                        (
-                            out,
-                            sess.captchas_solved,
-                            sess.captcha_spend_dollars(),
-                            sess.email_verifications,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (out, captchas, spend, emails) = h.join().expect("detail shard panicked");
-                    stats.captchas_solved += captchas;
-                    stats.captcha_spend_dollars += spend;
-                    stats.email_verifications += emails;
-                    out
-                })
-                .collect()
-        })
-        .expect("detail scope");
-        for result in results.into_iter().flatten() {
+    let mut overhead = listing.overhead;
+    let mut bots = Vec::with_capacity(listing.hrefs.len());
+    for (unit, raws) in units {
+        overhead.absorb(&unit.overhead);
+        let mut raws = raws.into_iter();
+        for result in unit.results {
+            let raw = raws.next().flatten();
             match result {
-                Ok(bot) => {
-                    stats.bots += 1;
-                    bots.push(bot);
-                }
-                Err(()) => stats.failures += 1,
+                Some(bot) => bots.push((bot, raw)),
+                None => stats.failures += 1,
             }
         }
     }
-
-    drop(details_span);
-
-    absorb_session(&mut stats, &session);
-    stats.duration = clock.now().duration_since(started);
-
-    // Deterministic totals go on the span; scheduling-dependent overhead
-    // (captchas, spend, virtual duration) goes to metrics only.
-    span.record("pages", stats.pages as u64);
-    span.record("bots", stats.bots as u64);
-    span.record("failures", stats.failures as u64);
-    ScopedCounter::new(obs, config, "pages_fetched").add(stats.pages as u64);
-    ScopedCounter::new(obs, config, "bots").add(stats.bots as u64);
-    ScopedCounter::new(obs, config, "detail_failures").add(stats.failures as u64);
-    ScopedCounter::new(obs, config, "captchas_solved").add(stats.captchas_solved);
-    ScopedCounter::new(obs, config, "email_verifications").add(stats.email_verifications);
+    stats.bots = bots.len();
+    stats.captchas_solved = overhead.captchas_solved;
+    stats.captcha_spend_dollars = overhead.captcha_spend_dollars;
+    stats.email_verifications = overhead.email_verifications;
     (bots, stats)
 }
 
@@ -581,6 +392,16 @@ impl SessionOverhead {
             captchas_solved: session.captchas_solved,
             captcha_spend_dollars: session.captcha_spend_dollars(),
             email_verifications: session.email_verifications,
+        }
+    }
+
+    /// What `session` spent since `earlier` was taken from it.
+    fn since(session: &ScrapeSession, earlier: &SessionOverhead) -> SessionOverhead {
+        let now = SessionOverhead::of(session);
+        SessionOverhead {
+            captchas_solved: now.captchas_solved - earlier.captchas_solved,
+            captcha_spend_dollars: now.captcha_spend_dollars - earlier.captcha_spend_dollars,
+            email_verifications: now.email_verifications - earlier.email_verifications,
         }
     }
 
@@ -617,36 +438,42 @@ pub struct DetailUnit {
     pub overhead: SessionOverhead,
 }
 
-/// Phase A only: traverse the listing serially and return the merged
-/// detail-href index. Content-identical to the traversal inside
-/// [`crawl_listing`]; the resumable pipeline journals the result so a
-/// restarted run never re-walks the listing.
-pub fn discover_listing(net: &Network, config: &CrawlConfig) -> ListingIndex {
-    discover_listing_traced(net, config, &Obs::disabled(), &Span::disabled())
-}
-
-/// [`discover_listing`] with observability attached: a `listing` span with
-/// per-page children under `parent`, `crawl.*` counters on `obs`.
-pub fn discover_listing_traced(
+/// Phase A: walk the listing on one session and return the merged
+/// detail-href index, traced as a `listing` span (per-page children keyed
+/// by page index) under `parent` with `crawl.*` counters on `obs`.
+///
+/// With `validators`, a cached traversal whose every page still answers
+/// 304 is reused outright; otherwise the walk runs cold and, when it was
+/// clean, records its page validators for the next run.
+pub fn discover_listing(
     net: &Network,
     config: &CrawlConfig,
+    validators: Option<&dyn ValidatorStore>,
     obs: &Obs,
     parent: &Span,
 ) -> ListingIndex {
-    discover_listing_capturing(net, config, obs, parent).0
+    if let Some(index) =
+        validators.and_then(|store| revalidate_listing(net, config, store, obs, parent))
+    {
+        return index;
+    }
+    let (index, etags) = traverse_listing(net, config, obs, parent);
+    if let (Some(store), Some((etags, bytes))) = (validators, etags) {
+        cache_listing(store, &index, etags, bytes);
+    }
+    index
 }
 
-/// The listing traversal, additionally capturing the per-page content
-/// validators so the next run can revalidate instead of re-walk. The
-/// captured [`CachedListing`] is `Some` only for a *clean* traversal —
-/// every page fetched, extracted, non-empty, and validator-tagged — since
-/// anything less would make the cached index diverge from a re-crawl.
-pub(crate) fn discover_listing_capturing(
+/// The cold listing walk. Besides the index it returns the per-page
+/// validators and body bytes — `Some` only for a *clean* traversal (every
+/// page fetched, extracted, non-empty, and validator-tagged), since
+/// anything less would make a cached index diverge from a re-crawl.
+fn traverse_listing(
     net: &Network,
     config: &CrawlConfig,
     obs: &Obs,
     parent: &Span,
-) -> (ListingIndex, Option<CachedListing>) {
+) -> (ListingIndex, Option<(Vec<String>, u64)>) {
     let span = parent.child("listing");
     let page_ms = obs.histogram("crawl.page_ms");
     let clock = net.clock();
@@ -657,23 +484,11 @@ pub(crate) fn discover_listing_capturing(
         overhead: SessionOverhead::default(),
     };
 
-    let url0 = Url::https(&config.list_host, "/list").with_query("page", "0");
-    let (first, first_etag, first_bytes) = match session.fetch(url0) {
-        Ok(resp) if resp.status.is_success() => {
-            let etag = resp.header("etag").map(str::to_string);
-            let bytes = resp.body.len() as u64;
-            match htmlsim::parse_document(&resp.text()) {
-                Ok(doc) => (doc, etag, bytes),
-                Err(_) => {
-                    index.overhead = SessionOverhead::of(&session);
-                    return (index, None);
-                }
-            }
-        }
-        _ => {
-            index.overhead = SessionOverhead::of(&session);
-            return (index, None);
-        }
+    let Some((first, first_etag, first_bytes)) = fetch_page(&mut session, &config.list_host, 0)
+    else {
+        span.record("listing_unreachable", 1);
+        index.overhead = SessionOverhead::of(&session);
+        return (index, None);
     };
     let total_pages = extract_total_pages(&first).unwrap_or(1);
     let limit = config.max_pages.map_or(total_pages, |m| m.min(total_pages));
@@ -687,12 +502,17 @@ pub(crate) fn discover_listing_capturing(
     for page in 1..limit {
         let page_span = span.child_keyed("page", page as u64);
         let t0 = clock.now();
-        let (outcome, etag, bytes) = fetch_page_meta(&mut session, &config.list_host, page);
+        let (outcome, etag, bytes) = match fetch_page(&mut session, &config.list_host, page) {
+            Some((doc, etag, bytes)) => (classify_page(&doc), etag, bytes),
+            None => (PageOutcome::FetchErr, None, 0),
+        };
         page_ms.record(clock.now().duration_since(t0).as_millis());
         trace_page_outcome(&page_span, &outcome);
         outcomes.push((outcome, etag, bytes));
     }
 
+    // Merge in page order: fetch failures skip the page, an empty page
+    // ends the listing.
     let mut etags: Vec<String> = Vec::new();
     let mut body_bytes = 0u64;
     let mut clean = true;
@@ -731,69 +551,69 @@ pub(crate) fn discover_listing_capturing(
     ScopedCounter::new(obs, config, "fetched_full").add(index.pages as u64);
     ScopedCounter::new(obs, config, "captchas_solved").add(index.overhead.captchas_solved);
     ScopedCounter::new(obs, config, "email_verifications").add(index.overhead.email_verifications);
-    let cached = (clean && !etags.is_empty()).then(|| CachedListing {
-        etags,
-        hrefs: index.hrefs.clone(),
-        pages: index.pages,
-        bytes: body_bytes,
-    });
-    (index, cached)
+    let validators = (clean && !etags.is_empty()).then_some((etags, body_bytes));
+    (index, validators)
 }
 
-/// Crawl one contiguous chunk of detail hrefs with a dedicated session.
+/// Phase B: crawl one contiguous slice of detail hrefs on `session`,
+/// traced as a `unit` span keyed by `unit` under `parent` with `crawl.*`
+/// counters on `obs` — `crawl.fetched_full` counts every full-body fetch
+/// (detail page, homepage, policy page).
 ///
-/// The session seed depends only on `config.seed` and the unit index — not
-/// on any worker count — so the journal a resumable run writes is identical
-/// whatever parallelism produced it. Content is session-independent (the
-/// property the sharded-vs-serial tests pin down), so replaying a unit is
-/// byte-equivalent to re-crawling it.
+/// The session is the caller's: a pool worker reuses one across every
+/// unit it claims, the way one polite crawler pays its captchas and email
+/// walls. The unit's [`DetailUnit::overhead`] is the spend accrued during
+/// this call. Content is session-independent, so the results — and
+/// replaying a journaled unit instead of crawling it — are identical
+/// whichever session ran it.
+///
+/// With `validators` (the validator store plus the change ledger's
+/// changed hrefs) each href takes the conditional-fetch warm path of
+/// [`crate::incremental`], and the second return carries each successful
+/// bot's exact `serde_json::to_vec` encoding so callers can
+/// content-address downstream work without re-serializing. Without, it is
+/// empty.
 pub fn crawl_detail_unit(
-    net: &Network,
+    session: &mut ScrapeSession,
     config: &CrawlConfig,
     hrefs: &[String],
     unit: u64,
-) -> DetailUnit {
-    crawl_detail_unit_traced(
-        net,
-        config,
-        hrefs,
-        unit,
-        &Obs::disabled(),
-        &Span::disabled(),
-    )
-}
-
-/// [`crawl_detail_unit`] with observability attached: a `unit` span keyed by
-/// the unit index (worker-count-independent) under `parent`, `crawl.*`
-/// counters on `obs`.
-pub fn crawl_detail_unit_traced(
-    net: &Network,
-    config: &CrawlConfig,
-    hrefs: &[String],
-    unit: u64,
+    validators: Option<(&dyn ValidatorStore, &BTreeSet<String>)>,
     obs: &Obs,
     parent: &Span,
-) -> DetailUnit {
+) -> (DetailUnit, Vec<Option<Vec<u8>>>) {
     let span = parent.child_keyed("unit", unit);
-    let mut session = ScrapeSession::for_worker(
-        net.clone(),
-        netsim::splitmix(config.seed, 0x1000 + unit),
-        1 + unit as usize,
-        config.polite,
-    );
-    let results: Vec<Option<CrawledBot>> = hrefs
-        .iter()
-        .map(|href| crawl_detail(&mut session, href, config).ok())
-        .collect();
+    let before = SessionOverhead::of(session);
+    let counters = DetailCounters::new(obs, config);
+    let mut results: Vec<Option<CrawledBot>> = Vec::with_capacity(hrefs.len());
+    let mut raws: Vec<Option<Vec<u8>>> = Vec::new();
+    for href in hrefs {
+        match validators {
+            Some((store, changed)) => {
+                let (bot, raw) =
+                    crawl_detail_cached(session, config, href, store, changed, &counters);
+                results.push(bot);
+                raws.push(raw);
+            }
+            None => results.push(match crawl_detail(session, href, config, None) {
+                DetailOutcome::Fetched(fetch) => {
+                    counters.fetched_full.add(fetch.fetches);
+                    Some(fetch.bot)
+                }
+                _ => None,
+            }),
+        }
+    }
+
     let ok = results.iter().filter(|r| r.is_some()).count() as u64;
     span.record("ok", ok);
     span.record("failed", results.len() as u64 - ok);
     ScopedCounter::new(obs, config, "bots").add(ok);
     ScopedCounter::new(obs, config, "detail_failures").add(results.len() as u64 - ok);
-    let overhead = SessionOverhead::of(&session);
+    let overhead = SessionOverhead::since(session, &before);
     ScopedCounter::new(obs, config, "captchas_solved").add(overhead.captchas_solved);
     ScopedCounter::new(obs, config, "email_verifications").add(overhead.email_verifications);
-    DetailUnit { results, overhead }
+    (DetailUnit { results, overhead }, raws)
 }
 
 /// What one website visit produced, validators and transfer cost included.
@@ -1042,10 +862,25 @@ mod tests {
             .all(|b| !b.website_reachable && b.policy.is_none()));
     }
 
+    /// [`crawl_listing`]'s composition with observability attached.
+    fn crawl_traced(net: &Network, config: &CrawlConfig, obs: &Obs, parent: &Span) {
+        let listing = discover_listing(net, config, None, obs, parent);
+        let _ = claim_map(
+            listing.hrefs.chunks(DETAIL_UNIT_SIZE).collect(),
+            config.workers,
+            |worker| detail_session(net, config, worker),
+            |session, unit, hrefs: &[String]| {
+                crawl_detail_unit(session, config, hrefs, unit as u64, None, obs, parent);
+                Ok::<_, Infallible>(())
+            },
+        );
+    }
+
     #[test]
     fn sharded_crawl_matches_serial() {
         let collect = |workers: usize| {
-            let net = build_world(12);
+            // 80 bots = three detail units, so the pool really fans out.
+            let net = build_world(80);
             let (bots, stats) = crawl_listing(
                 &net,
                 &CrawlConfig {
@@ -1077,28 +912,24 @@ mod tests {
     #[test]
     fn traced_crawl_canonical_trace_is_sharding_invariant() {
         let trace = |workers: usize| {
-            let net = build_world(12);
+            let net = build_world(80);
             let recorder = std::sync::Arc::new(obs::JsonRecorder::new());
             let obs_handle =
                 Obs::with_recorder(recorder.clone(), std::sync::Arc::new(net.clock().clone()));
             {
                 let root = obs_handle.span("audit");
-                crawl_listing_traced(
-                    &net,
-                    &CrawlConfig {
-                        workers,
-                        ..CrawlConfig::default()
-                    },
-                    &obs_handle,
-                    &root,
-                );
+                let config = CrawlConfig {
+                    workers,
+                    ..CrawlConfig::default()
+                };
+                crawl_traced(&net, &config, &obs_handle, &root);
             }
             recorder.canonical_trace()
         };
         let serial = trace(1);
-        assert!(serial.contains("\"name\":\"crawl\""));
+        assert!(serial.contains("\"name\":\"listing\""));
         assert!(serial.contains("\"name\":\"page\""));
-        assert!(serial.contains("\"name\":\"detail\""));
+        assert!(serial.contains("\"name\":\"unit\""));
         for workers in [2, 4] {
             assert_eq!(trace(workers), serial, "workers={workers}");
         }
@@ -1128,7 +959,7 @@ mod tests {
                 platform: kind,
                 ..CrawlConfig::default()
             };
-            crawl_listing_traced(&net, &config, &obs_handle, &Span::disabled());
+            crawl_traced(&net, &config, &obs_handle, &Span::disabled());
             let scoped =
                 |name: &str| obs_handle.counter_value(&format!("crawl.{}.{name}", kind.as_str()));
             for name in ["pages_fetched", "bots", "detail_failures"] {

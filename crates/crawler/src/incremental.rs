@@ -19,10 +19,12 @@
 //! byte-identical to a cold crawl of the same world; the cache can only
 //! change what the crawl *costs*.
 //!
-//! Persistence is the caller's business: the crawl sees a [`ValidatorStore`]
-//! — a string-keyed byte map — and `crates/store` provides the journaled,
-//! crash-safe implementation (`ValidatorCache`) that lives next to the
-//! artifact pack.
+//! The warm path is not a separate crawl: [`crate::crawl::discover_listing`]
+//! and [`crate::crawl::crawl_detail_unit`] take it whenever they are handed
+//! a validator store. Persistence is the caller's business: the crawl sees
+//! a [`ValidatorStore`] — a string-keyed byte map — and `crates/store`
+//! provides the journaled, crash-safe implementation (`ValidatorCache`)
+//! that lives next to the artifact pack.
 //!
 //! Cost accounting lands on `crawl.*` counters:
 //!
@@ -34,8 +36,8 @@
 //! * `crawl.bytes_saved` — body bytes the 304s avoided transferring.
 
 use crate::crawl::{
-    crawl_detail_validated, detail_url, discover_listing_capturing, CrawlConfig, CrawledBot,
-    DetailFetch, DetailOutcome, DetailUnit, ListingIndex, ScopedCounter, SessionOverhead,
+    crawl_detail, detail_url, CrawlConfig, CrawledBot, DetailFetch, DetailOutcome, ListingIndex,
+    ScopedCounter, SessionOverhead,
 };
 use crate::session::ScrapeSession;
 use netsim::client::{ClientConfig, HttpClient};
@@ -181,41 +183,17 @@ pub fn fetch_changed_hrefs(
     }
 }
 
-/// The listing traversal, warm path first: when the store holds a cached
-/// traversal and every page answers 304 against its validator, the cached
-/// index is reused outright. Any non-match falls back to the cold
-/// traversal, which re-captures validators into the store.
-pub fn discover_listing_validated(
+/// The listing warm path: when `store` holds a cached traversal and every
+/// page answers 304 against its validator, the cached index is reused
+/// outright. `None` sends the caller down the cold traversal.
+pub(crate) fn revalidate_listing(
     net: &Network,
     config: &CrawlConfig,
     store: &dyn ValidatorStore,
     obs: &Obs,
     parent: &Span,
-) -> ListingIndex {
-    if let Some(cached) = store
-        .get(LISTING_KEY)
-        .and_then(|bytes| serde_json::from_slice::<CachedListing>(&bytes).ok())
-    {
-        if let Some(index) = revalidate_listing(net, config, &cached, obs, parent) {
-            return index;
-        }
-    }
-    let (index, capture) = discover_listing_capturing(net, config, obs, parent);
-    if let Some(capture) = capture {
-        if let Ok(bytes) = serde_json::to_vec(&capture) {
-            store.put(LISTING_KEY, &bytes);
-        }
-    }
-    index
-}
-
-fn revalidate_listing(
-    net: &Network,
-    config: &CrawlConfig,
-    cached: &CachedListing,
-    obs: &Obs,
-    parent: &Span,
 ) -> Option<ListingIndex> {
+    let cached: CachedListing = serde_json::from_slice(&store.get(LISTING_KEY)?).ok()?;
     // A traversal cached under a wider page budget cannot be reused
     // wholesale (the cache is fingerprint-scoped, so this is belt and
     // braces).
@@ -241,14 +219,52 @@ fn revalidate_listing(
     ScopedCounter::new(obs, config, "captchas_solved").add(session.captchas_solved);
     ScopedCounter::new(obs, config, "email_verifications").add(session.email_verifications);
     Some(ListingIndex {
-        hrefs: cached.hrefs.clone(),
+        hrefs: cached.hrefs,
         pages: cached.pages,
         overhead: SessionOverhead::of(&session),
     })
 }
 
-/// [`crate::crawl::crawl_detail_unit_traced`] with the validator cache and
-/// change ledger attached. Per href:
+/// Record a clean cold traversal's page validators for the next run.
+pub(crate) fn cache_listing(
+    store: &dyn ValidatorStore,
+    index: &ListingIndex,
+    etags: Vec<String>,
+    bytes: u64,
+) {
+    let cached = CachedListing {
+        etags,
+        hrefs: index.hrefs.clone(),
+        pages: index.pages,
+        bytes,
+    };
+    if let Ok(bytes) = serde_json::to_vec(&cached) {
+        store.put(LISTING_KEY, &bytes);
+    }
+}
+
+/// The `crawl.*` counters one detail unit bumps, resolved once per unit.
+pub(crate) struct DetailCounters {
+    pub(crate) fetched_full: ScopedCounter,
+    validated: ScopedCounter,
+    hits: ScopedCounter,
+    stale: ScopedCounter,
+    bytes_saved: ScopedCounter,
+}
+
+impl DetailCounters {
+    pub(crate) fn new(obs: &Obs, config: &CrawlConfig) -> DetailCounters {
+        DetailCounters {
+            fetched_full: ScopedCounter::new(obs, config, "fetched_full"),
+            validated: ScopedCounter::new(obs, config, "validated"),
+            hits: ScopedCounter::new(obs, config, "validator_hits"),
+            stale: ScopedCounter::new(obs, config, "validator_stale"),
+            bytes_saved: ScopedCounter::new(obs, config, "bytes_saved"),
+        }
+    }
+}
+
+/// One href of a detail unit on the warm path:
 ///
 /// * **cached, not in `changed`** — one conditional round-trip against the
 ///   detail validator; a 304 reuses the cached bot, anything else falls
@@ -258,95 +274,58 @@ fn revalidate_listing(
 ///   is counted, never trusted), then fetch in full;
 /// * **uncached** — full fetch, populating the store.
 ///
-/// The first return is element-for-element identical to the cold unit
-/// crawl of the same world. The second carries, per successful bot, the
-/// exact `serde_json::to_vec` encoding of that bot — cached bytes for
-/// reused entries, the freshly written cache body for fetched ones — so
-/// callers can content-address downstream work by hashing bytes that
-/// already exist instead of re-serializing every bot.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_detail_unit_validated(
-    net: &Network,
+/// The bot is identical to a cold crawl's; the bytes are its exact
+/// `serde_json::to_vec` encoding (cached bytes for reused entries, the
+/// freshly written cache body for fetched ones).
+pub(crate) fn crawl_detail_cached(
+    session: &mut ScrapeSession,
     config: &CrawlConfig,
-    hrefs: &[String],
-    unit: u64,
+    href: &str,
     store: &dyn ValidatorStore,
     changed: &BTreeSet<String>,
-    obs: &Obs,
-    parent: &Span,
-) -> (DetailUnit, Vec<Option<Vec<u8>>>) {
-    let span = parent.child_keyed("unit", unit);
-    let mut session = ScrapeSession::for_worker(
-        net.clone(),
-        netsim::splitmix(config.seed, 0x1000 + unit),
-        1 + unit as usize,
-        config.polite,
-    );
-    let validated = ScopedCounter::new(obs, config, "validated");
-    let fetched_full = ScopedCounter::new(obs, config, "fetched_full");
-    let hits = ScopedCounter::new(obs, config, "validator_hits");
-    let stale = ScopedCounter::new(obs, config, "validator_stale");
-    let bytes_saved = ScopedCounter::new(obs, config, "bytes_saved");
-
-    let mut results: Vec<Option<CrawledBot>> = Vec::with_capacity(hrefs.len());
-    let mut raw: Vec<Option<Vec<u8>>> = Vec::with_capacity(hrefs.len());
-    for href in hrefs {
-        let key = detail_key(href);
-        let cached: Option<CachedDetail> = store
-            .get(&key)
-            .and_then(|bytes| serde_json::from_slice(&bytes).ok());
-        let (result, body) = match cached {
-            Some(entry) if !changed.contains(href.as_str()) => {
-                let reused = revalidate_detail(&mut session, config, href, &entry, &validated)
-                    .then(|| store.get(&detail_body_key(href)))
-                    .flatten()
-                    .and_then(|body| {
-                        let bot: CrawledBot = serde_json::from_slice(&body).ok()?;
-                        Some((bot, body))
-                    });
-                match reused {
-                    Some((bot, body)) => {
-                        hits.incr();
-                        bytes_saved.add(entry.bytes);
-                        (Some(bot), Some(body))
-                    }
-                    None => fetch_and_cache(&mut session, href, config, store, &fetched_full),
+    counters: &DetailCounters,
+) -> (Option<CrawledBot>, Option<Vec<u8>>) {
+    let cached: Option<CachedDetail> = store
+        .get(&detail_key(href))
+        .and_then(|bytes| serde_json::from_slice(&bytes).ok());
+    match cached {
+        Some(entry) if !changed.contains(href) => {
+            let reused = revalidate_detail(session, config, href, &entry, &counters.validated)
+                .then(|| store.get(&detail_body_key(href)))
+                .flatten()
+                .and_then(|body| {
+                    let bot: CrawledBot = serde_json::from_slice(&body).ok()?;
+                    Some((bot, body))
+                });
+            match reused {
+                Some((bot, body)) => {
+                    counters.hits.incr();
+                    counters.bytes_saved.add(entry.bytes);
+                    (Some(bot), Some(body))
                 }
+                None => fetch_and_cache(session, href, config, store, counters),
             }
-            Some(entry) => {
-                // The ledger says this bot's bytes changed: a validator
-                // match would be a lie, so the conditional fetch is a stale-
-                // validator detector and the real bytes always come from a
-                // full fetch.
-                match crawl_detail_validated(&mut session, href, config, Some(&entry.etag_detail)) {
-                    DetailOutcome::NotModified => {
-                        validated.incr();
-                        stale.incr();
-                        fetch_and_cache(&mut session, href, config, store, &fetched_full)
-                    }
-                    DetailOutcome::Fetched(fetch) => {
-                        fetched_full.add(fetch.fetches);
-                        let body = cache_detail(store, href, &fetch);
-                        (Some(fetch.bot), body)
-                    }
-                    DetailOutcome::Failed => (None, None),
+        }
+        Some(entry) => {
+            // The ledger says this bot's bytes changed: a validator match
+            // would be a lie, so the conditional fetch is a stale-validator
+            // detector and the real bytes always come from a full fetch.
+            match crawl_detail(session, href, config, Some(&entry.etag_detail)) {
+                DetailOutcome::NotModified => {
+                    counters.validated.incr();
+                    counters.stale.incr();
+                    fetch_and_cache(session, href, config, store, counters)
                 }
+                DetailOutcome::Fetched(fetch) => {
+                    counters.fetched_full.add(fetch.fetches);
+                    let body = cache_detail(store, href, &fetch);
+                    (Some(fetch.bot), body)
+                }
+                DetailOutcome::Failed => (None, None),
             }
-            None => fetch_and_cache(&mut session, href, config, store, &fetched_full),
-        };
-        results.push(result);
-        raw.push(body);
+        }
+        None => fetch_and_cache(session, href, config, store, counters),
     }
-
-    let ok = results.iter().filter(|r| r.is_some()).count() as u64;
-    span.record("ok", ok);
-    span.record("failed", results.len() as u64 - ok);
-    ScopedCounter::new(obs, config, "bots").add(ok);
-    ScopedCounter::new(obs, config, "detail_failures").add(results.len() as u64 - ok);
-    let overhead = SessionOverhead::of(&session);
-    ScopedCounter::new(obs, config, "captchas_solved").add(overhead.captchas_solved);
-    ScopedCounter::new(obs, config, "email_verifications").add(overhead.email_verifications);
-    (DetailUnit { results, overhead }, raw)
 }
 
 /// Revalidate a cached bot the change ledger left alone: one conditional
@@ -381,11 +360,11 @@ fn fetch_and_cache(
     href: &str,
     config: &CrawlConfig,
     store: &dyn ValidatorStore,
-    fetched_full: &ScopedCounter,
+    counters: &DetailCounters,
 ) -> (Option<CrawledBot>, Option<Vec<u8>>) {
-    match crawl_detail_validated(session, href, config, None) {
+    match crawl_detail(session, href, config, None) {
         DetailOutcome::Fetched(fetch) => {
-            fetched_full.add(fetch.fetches);
+            counters.fetched_full.add(fetch.fetches);
             let body = cache_detail(store, href, &fetch);
             (Some(fetch.bot), body)
         }
@@ -419,7 +398,7 @@ fn cache_detail(store: &dyn ValidatorStore, href: &str, fetch: &DetailFetch) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crawl::{crawl_detail_unit_traced, discover_listing_traced};
+    use crate::crawl::{crawl_detail_unit, detail_session, discover_listing, DetailUnit};
     use crate::solver::CaptchaSolverService;
     use botlist::website::{BotWebsite, PolicyHosting};
     use botlist::{BotListSite, BotListing, SiteConfig, LIST_HOST};
@@ -506,26 +485,43 @@ mod tests {
             .collect()
     }
 
+    /// The listing index, warm path first when a store is given.
+    fn index(net: &Network, store: Option<&MemValidatorStore>, obs: &Obs) -> ListingIndex {
+        let store = store.map(|s| s as &dyn ValidatorStore);
+        discover_listing(net, &config(), store, obs, &Span::disabled())
+    }
+
+    /// One detail unit over `hrefs` on a fresh worker-0 session.
+    fn unit(
+        net: &Network,
+        hrefs: &[String],
+        validators: Option<(&MemValidatorStore, &BTreeSet<String>)>,
+        obs: &Obs,
+    ) -> DetailUnit {
+        let cfg = config();
+        let validators = validators.map(|(s, c)| (s as &dyn ValidatorStore, c));
+        let mut session = detail_session(net, &cfg, 0);
+        crawl_detail_unit(
+            &mut session,
+            &cfg,
+            hrefs,
+            0,
+            validators,
+            obs,
+            &Span::disabled(),
+        )
+        .0
+    }
+
     #[test]
     fn warm_crawl_reuses_everything_when_nothing_changed() {
         let net = world(8, 3);
         let store = MemValidatorStore::new();
+        let none = BTreeSet::new();
         let obs = Obs::disabled();
-        let span = Span::disabled();
-        let cfg = config();
 
-        let cold_index = discover_listing_validated(&net, &cfg, &store, &obs, &span);
-        let cold_unit = crawl_detail_unit_validated(
-            &net,
-            &cfg,
-            &cold_index.hrefs,
-            0,
-            &store,
-            &BTreeSet::new(),
-            &obs,
-            &span,
-        )
-        .0;
+        let cold_index = index(&net, Some(&store), &obs);
+        let cold_unit = unit(&net, &cold_index.hrefs, Some((&store, &none)), &obs);
         assert_eq!(
             obs.counter_value("crawl.validator_hits"),
             0,
@@ -534,20 +530,10 @@ mod tests {
         assert!(store.len() > 1, "listing + details cached");
 
         let warm_obs = Obs::disabled();
-        let warm_index = discover_listing_validated(&net, &cfg, &store, &warm_obs, &span);
+        let warm_index = index(&net, Some(&store), &warm_obs);
         assert_eq!(warm_index.hrefs, cold_index.hrefs);
         assert_eq!(warm_index.pages, cold_index.pages);
-        let warm_unit = crawl_detail_unit_validated(
-            &net,
-            &cfg,
-            &warm_index.hrefs,
-            0,
-            &store,
-            &BTreeSet::new(),
-            &warm_obs,
-            &span,
-        )
-        .0;
+        let warm_unit = unit(&net, &warm_index.hrefs, Some((&store, &none)), &warm_obs);
         assert_eq!(shape(&warm_unit), shape(&cold_unit));
         // 2 list pages + 8 bots, all reused.
         assert_eq!(warm_obs.counter_value("crawl.validator_hits"), 2 + 8);
@@ -561,33 +547,12 @@ mod tests {
         let net = world(8, 3);
         let store = MemValidatorStore::new();
         let obs = Obs::disabled();
-        let span = Span::disabled();
-        let cfg = config();
-        let index = discover_listing_validated(&net, &cfg, &store, &obs, &span);
-        crawl_detail_unit_validated(
-            &net,
-            &cfg,
-            &index.hrefs,
-            0,
-            &store,
-            &BTreeSet::new(),
-            &obs,
-            &span,
-        );
+        let hrefs = index(&net, Some(&store), &obs).hrefs;
+        unit(&net, &hrefs, Some((&store, &BTreeSet::new())), &obs);
 
         let changed: BTreeSet<String> = ["/bot/3".to_string(), "/bot/5".to_string()].into();
         let warm_obs = Obs::disabled();
-        let warm = crawl_detail_unit_validated(
-            &net,
-            &cfg,
-            &index.hrefs,
-            0,
-            &store,
-            &changed,
-            &warm_obs,
-            &span,
-        )
-        .0;
+        let warm = unit(&net, &hrefs, Some((&store, &changed)), &warm_obs);
         assert_eq!(warm.results.iter().filter(|r| r.is_some()).count(), 8);
         assert_eq!(warm_obs.counter_value("crawl.validator_hits"), 8 - 2);
         assert!(warm_obs.counter_value("crawl.fetched_full") >= 2);
@@ -598,44 +563,23 @@ mod tests {
 
     #[test]
     fn validated_paths_match_plain_paths_bot_for_bot() {
-        let cfg = config();
-        let span = Span::disabled();
         let obs = Obs::disabled();
+        let none = BTreeSet::new();
 
         let net_a = world(10, 5);
-        let plain_index = discover_listing_traced(&net_a, &cfg, &obs, &span);
-        let plain_unit = crawl_detail_unit_traced(&net_a, &cfg, &plain_index.hrefs, 0, &obs, &span);
+        let plain_index = index(&net_a, None, &obs);
+        let plain_unit = unit(&net_a, &plain_index.hrefs, None, &obs);
 
         let net_b = world(10, 5);
         let store = MemValidatorStore::new();
-        let cold_index = discover_listing_validated(&net_b, &cfg, &store, &obs, &span);
-        let cold_unit = crawl_detail_unit_validated(
-            &net_b,
-            &cfg,
-            &cold_index.hrefs,
-            0,
-            &store,
-            &BTreeSet::new(),
-            &obs,
-            &span,
-        )
-        .0;
+        let cold_index = index(&net_b, Some(&store), &obs);
+        let cold_unit = unit(&net_b, &cold_index.hrefs, Some((&store, &none)), &obs);
         assert_eq!(plain_index.hrefs, cold_index.hrefs);
         assert_eq!(plain_index.pages, cold_index.pages);
         assert_eq!(shape(&plain_unit), shape(&cold_unit));
 
         // And the warm pass over the same world still matches.
-        let warm_unit = crawl_detail_unit_validated(
-            &net_b,
-            &cfg,
-            &cold_index.hrefs,
-            0,
-            &store,
-            &BTreeSet::new(),
-            &obs,
-            &span,
-        )
-        .0;
+        let warm_unit = unit(&net_b, &cold_index.hrefs, Some((&store, &none)), &obs);
         assert_eq!(shape(&plain_unit), shape(&warm_unit));
     }
 
@@ -696,46 +640,25 @@ mod tests {
             .mount(&net);
             net
         };
-        let cfg = config();
-        let span = Span::disabled();
         let obs = Obs::disabled();
 
         let net = build(true);
         let store = MemValidatorStore::new();
-        let index = discover_listing_validated(&net, &cfg, &store, &obs, &span);
-        crawl_detail_unit_validated(
-            &net,
-            &cfg,
-            &index.hrefs,
-            0,
-            &store,
-            &BTreeSet::new(),
-            &obs,
-            &span,
-        );
+        let hrefs = index(&net, Some(&store), &obs).hrefs;
+        unit(&net, &hrefs, Some((&store, &BTreeSet::new())), &obs);
 
         // Every bot is declared changed; the faulty site 304s the probes
         // anyway. The crawl must refuse the lie: full refetches, stale
         // count, and output identical to a cold crawl.
-        let changed: BTreeSet<String> = index.hrefs.iter().cloned().collect();
+        let changed: BTreeSet<String> = hrefs.iter().cloned().collect();
         let warm_obs = Obs::disabled();
-        let warm = crawl_detail_unit_validated(
-            &net,
-            &cfg,
-            &index.hrefs,
-            0,
-            &store,
-            &changed,
-            &warm_obs,
-            &span,
-        )
-        .0;
+        let warm = unit(&net, &hrefs, Some((&store, &changed)), &warm_obs);
         assert_eq!(warm_obs.counter_value("crawl.validator_stale"), 6);
         assert_eq!(warm_obs.counter_value("crawl.validator_hits"), 0);
 
         let net_cold = build(false);
-        let cold_index = discover_listing_traced(&net_cold, &cfg, &obs, &span);
-        let cold = crawl_detail_unit_traced(&net_cold, &cfg, &cold_index.hrefs, 0, &obs, &span);
+        let cold_index = index(&net_cold, None, &obs);
+        let cold = unit(&net_cold, &cold_index.hrefs, None, &obs);
         assert_eq!(shape(&warm), shape(&cold));
     }
 }

@@ -17,12 +17,21 @@
 //! * invite links that are malformed, dead, removed, or redirect so slowly
 //!   they time out ([`invite`]).
 //!
-//! [`crawl::crawl_listing`] runs the whole stage and yields one
-//! [`crawl::CrawledBot`] per listing, the input to the traceability and
-//! code-analysis stages. [`incremental`] adds the conditional-fetch warm
-//! path: validators cached in a [`incremental::ValidatorStore`] plus the
-//! site's `changed-since` ledger turn an unchanged page into one cheap
-//! 304 round-trip on re-audit.
+//! The stage has three entry points:
+//!
+//! * [`crawl::discover_listing`] walks the list pages into a
+//!   [`crawl::ListingIndex`] of detail hrefs;
+//! * [`crawl::crawl_detail_unit`] crawls one fixed 32-href slice of that
+//!   index on the caller's [`ScrapeSession`] into a [`crawl::DetailUnit`];
+//! * [`crawl::crawl_listing`] composes the two over a claim pool of
+//!   per-worker sessions and yields one [`crawl::CrawledBot`] per listing,
+//!   the input to the traceability and code-analysis stages.
+//!
+//! The first two always trace and take an optional
+//! [`incremental::ValidatorStore`]: with one, cached validators plus the
+//! site's `changed-since` ledger turn an unchanged page into one cheap 304
+//! round-trip on re-audit ([`incremental`]). The audit pipeline composes
+//! them itself so it can journal the listing and every unit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,14 +44,14 @@ pub mod session;
 pub mod solver;
 
 pub use crawl::{
-    crawl_detail_unit, crawl_detail_unit_traced, crawl_listing, crawl_listing_traced,
-    discover_listing, discover_listing_traced, CrawlConfig, CrawlStats, CrawledBot, DetailUnit,
-    ListingIndex, SessionOverhead,
+    assemble, crawl_detail_unit, crawl_listing, detail_session, discover_listing, CrawlConfig,
+    CrawlStats, CrawledBot, DetailUnit, EncodedBot, ListingIndex, SessionOverhead,
+    DETAIL_UNIT_SIZE,
 };
 pub use extract::{extract_bot_detail, extract_bot_links, ScrapedBot};
 pub use incremental::{
-    crawl_detail_unit_validated, detail_key, discover_listing_validated, fetch_changed_hrefs,
-    CachedDetail, CachedListing, MemValidatorStore, ValidatorStore, LISTING_KEY,
+    detail_key, fetch_changed_hrefs, CachedDetail, CachedListing, MemValidatorStore,
+    ValidatorStore, LISTING_KEY,
 };
 pub use invite::{validate_invite, InviteStatus};
 pub use session::ScrapeSession;

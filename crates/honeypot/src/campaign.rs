@@ -21,13 +21,12 @@ use crawler::crawl::resolve_workers;
 use crawler::solver::CaptchaSolverClient;
 use netsim::clock::SimDuration;
 use obs::{Obs, Severity, Span};
-use parking_lot::Mutex;
 use platform::{ActorId, ChatSubstrate, PersonaRoster, RoomId, SubstrateResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 
 /// Campaign parameters (defaults follow §4.2: 5 personas, 25 messages,
 /// 4 tokens per guild).
@@ -159,10 +158,6 @@ struct GuildJob<S: ChatSubstrate> {
     /// researcher can't see that a backend is down).
     bot: Option<S::Backend>,
 }
-
-/// A claimable slot in the parallel campaign: each indexed guild job sits
-/// in its own mutex so exactly one worker can steal it.
-type JobSlot<S> = Mutex<Option<(usize, GuildJob<S>)>>;
 
 /// What one guild's population produced; merged into the report and token
 /// registry in deterministic bot order.
@@ -354,44 +349,16 @@ impl<S: ChatSubstrate> Campaign<S> {
         // its backend. Each guild owns its RNG stream, token mint, and
         // backend, so any schedule produces the same per-guild transcript;
         // outcomes merge in the (sorted) job order.
-        let workers = resolve_workers(self.config.workers);
         let guilds_span = span.child("guilds");
-        let outcomes: Vec<(String, GuildOutcome)> = if workers <= 1 || live.len() <= 1 {
-            live.into_iter()
-                .map(|(idx, job)| {
-                    let name = job.bot_name.clone();
-                    (name, self.run_guild(idx, job, pool.as_ref(), &guilds_span))
-                })
-                .collect()
-        } else {
-            let live: Vec<JobSlot<S>> = live.into_iter().map(|j| Mutex::new(Some(j))).collect();
-            let slots: Vec<Mutex<Option<(String, GuildOutcome)>>> =
-                (0..live.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let pool_ref: &dyn PersonaRoster = pool.as_ref();
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers.min(live.len()) {
-                    let (live, slots, next) = (&live, &slots, &next);
-                    let guilds_span = &guilds_span;
-                    let this = &*self;
-                    s.spawn(move |_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= live.len() {
-                            break;
-                        }
-                        let (idx, job) = live[i].lock().take().expect("guild claimed once");
-                        let name = job.bot_name.clone();
-                        *slots[i].lock() =
-                            Some((name, this.run_guild(idx, job, pool_ref, guilds_span)));
-                    });
-                }
-            })
-            .expect("campaign scope");
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("every guild populated"))
-                .collect()
-        };
+        let Ok(outcomes) = obs::claim_map(
+            live,
+            resolve_workers(self.config.workers),
+            |_| (),
+            |(), _, (idx, job): (usize, GuildJob<S>)| {
+                let name = job.bot_name.clone();
+                Ok::<_, Infallible>((name, self.run_guild(idx, job, pool.as_ref(), &guilds_span)))
+            },
+        );
         drop(guilds_span);
         let mut live_stats: Vec<(String, usize, usize)> = Vec::new();
         for (name, outcome) in outcomes {

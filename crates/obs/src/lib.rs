@@ -11,6 +11,8 @@
 //!
 //! Timestamps come from a pluggable [`Clock`] — in this workspace netsim's
 //! `VirtualClock` — so traces carry virtual time and reproduce exactly.
+//! [`claim_map`], the workspace's one worker pool, lives here too: every
+//! crate that fans work out already depends on `obs`.
 //!
 //! # Cost model
 //!
@@ -47,6 +49,7 @@ mod clock;
 mod event;
 mod json;
 mod metrics;
+mod pool;
 mod recorder;
 mod span;
 
@@ -56,6 +59,7 @@ pub use metrics::{
     bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
     HISTOGRAM_BUCKETS,
 };
+pub use pool::claim_map;
 pub use recorder::{JsonRecorder, NullRecorder, Recorder};
 pub use span::{FieldValue, Span, SpanData};
 

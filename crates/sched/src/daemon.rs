@@ -1,10 +1,8 @@
 //! The always-on daemon loop: deficit-round-robin fairness, typed
 //! deadline expiry, and cooperative preemption over the virtual clock.
 //!
-//! [`Daemon`] is the continuous counterpart to the batch-shaped
-//! [`Scheduler`](crate::Scheduler). Instead of draining everything queued
-//! in one shot, the driver calls [`Daemon::tick`] repeatedly as it
-//! advances the virtual clock; every tick
+//! The driver calls [`Daemon::tick`] repeatedly as it advances the
+//! virtual clock; every tick
 //!
 //! 1. **expires** queued (never-dispatched) jobs whose deadline is
 //!    strictly behind the clock, surfacing each as a typed
@@ -15,24 +13,103 @@
 //!    service gap between equal-weight backlogged tenants stays bounded
 //!    by `quantum × weight` ([`Daemon::fairness_gap`] tracks the
 //!    watermark, `sched.drr.max_gap` mirrors it);
-//! 3. **executes** the selected jobs over the claim-counter pool in the
+//! 3. **executes** the selected jobs over [`obs::claim_map`] in the
 //!    dispatch order documented on [`JobSpec`], letting the executor
 //!    **park** a job at a pipeline-stage boundary ([`StepResult::Parked`],
 //!    counted under `sched.parked`): the job returns to the front of its
 //!    tenant's queue and resumes — [`ExecCtx::resuming`] — on a later
 //!    tick.
 //!
+//! [`Daemon::drain_all`] is the one-shot batch variant (everything
+//! queued, no expiry, no fairness bound, no slicing) that shutdown and
+//! the fleet's batch facade use.
+//!
 //! Everything observable — events, counters, the merged span tree — is a
 //! pure function of the submission history and tick times, independent of
 //! [`DaemonConfig::workers`].
 
 use crate::job::{JobId, JobSpec, Lane};
-use crate::pool::run_chain_fns;
-use crate::queue::{CompletedJob, Rejection};
 use crate::ratelimit::{TenantRate, TokenBucket};
 use obs::{Clock, Obs};
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
+use std::error::Error;
+use std::fmt;
 use std::sync::{Arc, Mutex};
+
+/// Why a submission was refused or a queued job dropped. Refusals are
+/// part of the deterministic surface: the same submission sequence at the
+/// same virtual times is rejected identically on every run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rejection {
+    /// The queue already holds `capacity` jobs.
+    QueueFull {
+        /// The configured [`DaemonConfig::queue_capacity`].
+        capacity: usize,
+    },
+    /// The tenant exhausted its token bucket.
+    RateLimited {
+        /// Tenant that was throttled.
+        tenant: String,
+        /// Virtual milliseconds until a token will be available
+        /// (`u64::MAX` when the refill rate is zero).
+        retry_after_ms: u64,
+    },
+    /// The job sat queued past its deadline and the daemon dropped it
+    /// un-run (counted under `sched.expired`). Only [`Daemon::tick`]
+    /// expires jobs; [`Daemon::drain_all`] never does.
+    DeadlineExpired {
+        /// The deadline that passed, virtual milliseconds.
+        deadline_ms: u64,
+        /// How far past the deadline the clock was when the drop was
+        /// observed.
+        late_by_ms: u64,
+    },
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::QueueFull { capacity } => {
+                write!(f, "queue full (capacity {capacity})")
+            }
+            Rejection::RateLimited {
+                tenant,
+                retry_after_ms,
+            } => write!(
+                f,
+                "tenant {tenant} rate limited (retry in {retry_after_ms} ms)"
+            ),
+            Rejection::DeadlineExpired {
+                deadline_ms,
+                late_by_ms,
+            } => write!(
+                f,
+                "deadline {deadline_ms} ms expired ({late_by_ms} ms late)"
+            ),
+        }
+    }
+}
+
+impl Error for Rejection {}
+
+/// One finished job, in dispatch order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompletedJob<T> {
+    /// Submission id.
+    pub id: JobId,
+    /// Owning tenant.
+    pub tenant: String,
+    /// Lane the job dispatched from.
+    pub lane: Lane,
+    /// Virtual-clock submission time, milliseconds.
+    pub submitted_ms: u64,
+    /// Virtual milliseconds spent queued before the first dispatch
+    /// (preemption slices never grow it).
+    pub wait_ms: u64,
+    /// Whatever the executor returned.
+    pub output: T,
+}
 
 /// Knobs for one [`Daemon`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,8 +124,8 @@ pub struct DaemonConfig {
     pub tenant_rate: Option<TenantRate>,
     /// Deficit-round-robin quantum: dispatch slots granted per tick to a
     /// weight-1 backlogged tenant. `0` disables fairness bounding — every
-    /// tick selects everything queued, which is exactly the legacy
-    /// [`Scheduler::drain`](crate::Scheduler::drain) dispatch order.
+    /// tick selects everything queued, which is exactly the
+    /// [`Daemon::drain_all`] dispatch order.
     pub quantum: u32,
     /// When set, `Batch`-lane jobs run in cooperative slices of at most
     /// this many journal frames: the executor is handed the bound via
@@ -183,8 +260,8 @@ struct Inner<P> {
 enum TickKind {
     /// A daemon tick: expiry on, DRR quantum honored, batch slicing on.
     Tick,
-    /// Legacy drain semantics: no expiry, unbounded quantum, no slicing;
-    /// emits the historical `sched.drain` span.
+    /// [`Daemon::drain_all`]: no expiry, unbounded quantum, no slicing;
+    /// emits a `sched.drain` span.
     Drain,
 }
 
@@ -351,10 +428,11 @@ impl<P: Send> Daemon<P> {
         self.step(TickKind::Tick, exec)
     }
 
-    /// Legacy batch semantics: select everything queued regardless of
-    /// quantum, with expiry and slicing off, under the historical
-    /// `sched.drain` span. [`Scheduler::drain`](crate::Scheduler::drain)
-    /// is a thin wrapper over this.
+    /// Batch semantics: select everything queued regardless of quantum,
+    /// with expiry and slicing off, under a `sched.drain` span. Jobs sort
+    /// by `(lane, deadline, id)`, each tenant's jobs run in submission
+    /// order on one worker, and the virtual clock is read once, at drain
+    /// start, so wait times cannot depend on execution interleaving.
     pub fn drain_all<T, F>(&self, exec: F) -> Vec<CompletedJob<T>>
     where
         T: Send,
@@ -453,8 +531,8 @@ impl<P: Send> Daemon<P> {
 
             // Selection loop: each slot goes to the tenant whose best
             // remaining dispatch key is globally minimal, while it has
-            // budget. With unbounded budgets this is exactly the legacy
-            // global (lane, deadline, id) sort.
+            // budget. With unbounded budgets this is exactly the global
+            // (lane, deadline, id) sort.
             let mut slot_owner: Vec<usize> = Vec::new();
             loop {
                 let mut best: Option<usize> = None;
@@ -526,9 +604,9 @@ impl<P: Send> Daemon<P> {
 
         let selected: usize = chains.iter().map(|(_, c)| c.len()).sum();
 
-        // Phase 2, lock released: execute. The root span mirrors the
-        // legacy `sched.drain` shape; daemon ticks emit `sched.tick` only
-        // when something happened, so idle polling stays trace-free.
+        // Phase 2, lock released: execute. A drain always opens its
+        // `sched.drain` root; daemon ticks emit `sched.tick` only when
+        // something happened, so idle polling stays trace-free.
         let root = if kind == TickKind::Drain || selected > 0 || !expired.is_empty() {
             let root = self.obs.span(match kind {
                 TickKind::Drain => "sched.drain",
@@ -548,60 +626,68 @@ impl<P: Send> Daemon<P> {
             TickKind::Drain => None,
             TickKind::Tick => self.config.batch_slice_frames,
         };
-        let results = run_chain_fns(chains, self.config.workers, |(owner, chain)| {
-            let root = root.as_ref().expect("root span exists while jobs run");
-            let mut done: Vec<(usize, CompletedJob<T>)> = Vec::new();
-            let mut leftover: Vec<Queued<P>> = Vec::new();
-            let mut iter = chain.into_iter();
-            for (slot, mut job) in iter.by_ref() {
-                let span = root.child_keyed("sched.job", job.id.0);
-                if job.first_dispatch_ms.is_none() {
-                    job.first_dispatch_ms = Some(now_ms);
-                    let wait_ms = now_ms.saturating_sub(job.submitted_ms);
-                    span.record("lane", job.spec.lane.rank());
-                    span.record("wait_ms", wait_ms);
-                    self.obs.counter("sched.dispatched").incr();
-                    self.obs.histogram("sched.wait_ms").record(wait_ms);
-                }
-                span.record("slices", 1);
-                let ctx = ExecCtx {
-                    resuming: job.parked,
-                    slice_frames: if job.spec.lane == Lane::Batch {
-                        slice_frames
-                    } else {
-                        None
-                    },
-                };
-                match exec(job.id, &job.spec, &mut job.payload, ctx) {
-                    StepResult::Done(output) => {
-                        self.obs.counter("sched.completed").incr();
-                        let wait_ms = job
-                            .first_dispatch_ms
-                            .expect("dispatched job has a dispatch time")
-                            .saturating_sub(job.submitted_ms);
-                        done.push((
-                            slot,
-                            CompletedJob {
-                                id: job.id,
-                                tenant: job.spec.tenant,
-                                lane: job.spec.lane,
-                                submitted_ms: job.submitted_ms,
-                                wait_ms,
-                                output,
-                            },
-                        ));
+        // Each tenant chain runs on one worker, which decides how far into
+        // the chain to go: completion, or a cooperative park partway
+        // through that hands the remainder back.
+        let Ok(results) = obs::claim_map(
+            chains,
+            self.config.workers,
+            |_| (),
+            |(), _, (owner, chain)| {
+                let root = root.as_ref().expect("root span exists while jobs run");
+                let mut done: Vec<(usize, CompletedJob<T>)> = Vec::new();
+                let mut leftover: Vec<Queued<P>> = Vec::new();
+                let mut iter = chain.into_iter();
+                for (slot, mut job) in iter.by_ref() {
+                    let span = root.child_keyed("sched.job", job.id.0);
+                    if job.first_dispatch_ms.is_none() {
+                        job.first_dispatch_ms = Some(now_ms);
+                        let wait_ms = now_ms.saturating_sub(job.submitted_ms);
+                        span.record("lane", job.spec.lane.rank());
+                        span.record("wait_ms", wait_ms);
+                        self.obs.counter("sched.dispatched").incr();
+                        self.obs.histogram("sched.wait_ms").record(wait_ms);
                     }
-                    StepResult::Parked => {
-                        job.parked = true;
-                        self.obs.counter("sched.parked").incr();
-                        leftover.push(job);
-                        break;
+                    span.record("slices", 1);
+                    let ctx = ExecCtx {
+                        resuming: job.parked,
+                        slice_frames: if job.spec.lane == Lane::Batch {
+                            slice_frames
+                        } else {
+                            None
+                        },
+                    };
+                    match exec(job.id, &job.spec, &mut job.payload, ctx) {
+                        StepResult::Done(output) => {
+                            self.obs.counter("sched.completed").incr();
+                            let wait_ms = job
+                                .first_dispatch_ms
+                                .expect("dispatched job has a dispatch time")
+                                .saturating_sub(job.submitted_ms);
+                            done.push((
+                                slot,
+                                CompletedJob {
+                                    id: job.id,
+                                    tenant: job.spec.tenant,
+                                    lane: job.spec.lane,
+                                    submitted_ms: job.submitted_ms,
+                                    wait_ms,
+                                    output,
+                                },
+                            ));
+                        }
+                        StepResult::Parked => {
+                            job.parked = true;
+                            self.obs.counter("sched.parked").incr();
+                            leftover.push(job);
+                            break;
+                        }
                     }
                 }
-            }
-            leftover.extend(iter.map(|(_, job)| job));
-            (owner, done, leftover)
-        });
+                leftover.extend(iter.map(|(_, job)| job));
+                Ok::<_, Infallible>((owner, done, leftover))
+            },
+        );
 
         // Phase 3, under the lock again: return parked/unrun jobs to the
         // front of their queues (ids there are lower than any submission
@@ -696,6 +782,155 @@ mod tests {
             }
         }
         (completed, expired)
+    }
+
+    /// Drain everything queued, each job returning its payload.
+    fn drain(daemon: &Daemon<u64>) -> Vec<CompletedJob<u64>> {
+        daemon.drain_all(|_, _, payload, _| StepResult::Done(*payload))
+    }
+
+    #[test]
+    fn queue_full_rejects_until_a_drain_frees_capacity() {
+        let (d, _) = daemon(DaemonConfig {
+            queue_capacity: 2,
+            ..DaemonConfig::default()
+        });
+        d.submit(JobSpec::new("a"), 0).unwrap();
+        d.submit(JobSpec::new("a"), 1).unwrap();
+        let err = d.submit(JobSpec::new("b"), 2).unwrap_err();
+        assert_eq!(err, Rejection::QueueFull { capacity: 2 });
+        drain(&d);
+        assert!(d.submit(JobSpec::new("b"), 2).is_ok());
+    }
+
+    #[test]
+    fn rate_limit_throttles_per_tenant() {
+        let (d, clock) = daemon(DaemonConfig {
+            tenant_rate: Some(TenantRate::new(1, 1.0)),
+            ..DaemonConfig::default()
+        });
+        d.submit(JobSpec::new("a"), 0).unwrap();
+        let err = d.submit(JobSpec::new("a"), 1).unwrap_err();
+        assert_eq!(
+            err,
+            Rejection::RateLimited {
+                tenant: "a".into(),
+                retry_after_ms: 1_000,
+            }
+        );
+        // An unrelated tenant has its own bucket.
+        d.submit(JobSpec::new("b"), 2).unwrap();
+        // After the advertised wait, the tenant is admitted again.
+        clock.advance(1_000);
+        assert!(d.submit(JobSpec::new("a"), 3).is_ok());
+    }
+
+    #[test]
+    fn same_tenant_runs_in_order_across_worker_counts() {
+        for workers in [1, 2, 8] {
+            let (d, _) = daemon(DaemonConfig {
+                workers,
+                queue_capacity: 256,
+                ..DaemonConfig::default()
+            });
+            for i in 0..12u64 {
+                d.submit(JobSpec::new(["x", "y", "z"][(i % 3) as usize]), i)
+                    .unwrap();
+            }
+            let log: Mutex<Vec<(String, u64)>> = Mutex::new(Vec::new());
+            let done = d.drain_all(|_, spec, payload, _| {
+                log.lock().unwrap().push((spec.tenant.clone(), *payload));
+                StepResult::Done(*payload)
+            });
+            // Dispatch order in the returned vec is worker-independent.
+            let outs: Vec<u64> = done.iter().map(|j| j.output).collect();
+            assert_eq!(outs, (0..12).collect::<Vec<_>>(), "workers={workers}");
+            // And each tenant's own jobs executed in submission order.
+            let log = log.into_inner().unwrap();
+            for tenant in ["x", "y", "z"] {
+                let seq: Vec<u64> = log
+                    .iter()
+                    .filter(|(t, _)| t == tenant)
+                    .map(|(_, p)| *p)
+                    .collect();
+                assert!(seq.is_sorted(), "tenant {tenant} ran out of order");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_inversion_never_reorders_one_tenants_jobs() {
+        for workers in [1, 4] {
+            let (d, _) = daemon(DaemonConfig {
+                workers,
+                ..DaemonConfig::default()
+            });
+            // Tenant t submits Standard (id 0) then Interactive (id 1):
+            // the interactive job earns the earlier dispatch slot, but
+            // t's jobs must still execute 0 before 1.
+            d.submit(JobSpec::new("t"), 0).unwrap();
+            d.submit(JobSpec::new("t").lane(Lane::Interactive), 1)
+                .unwrap();
+            d.submit(JobSpec::new("u").lane(Lane::Batch), 2).unwrap();
+            let log: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+            let done = d.drain_all(|_, spec, payload, _| {
+                if spec.tenant == "t" {
+                    log.lock().unwrap().push(*payload);
+                }
+                StepResult::Done(*payload)
+            });
+            // The chain fills its earned slots by submission id, so the
+            // returned order is also 0, 1, 2.
+            let outs: Vec<u64> = done.iter().map(|j| j.output).collect();
+            assert_eq!(outs, vec![0, 1, 2], "workers={workers}");
+            assert_eq!(log.into_inner().unwrap(), vec![0, 1], "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn wait_times_come_from_the_virtual_clock() {
+        let (d, clock) = daemon(DaemonConfig::default());
+        d.submit(JobSpec::new("a"), 0).unwrap();
+        clock.advance(250);
+        d.submit(JobSpec::new("a"), 1).unwrap();
+        clock.advance(50);
+        let done = drain(&d);
+        assert_eq!(done[0].wait_ms, 300);
+        assert_eq!(done[1].wait_ms, 50);
+        assert_eq!(done[0].submitted_ms, 0);
+        assert_eq!(done[1].submitted_ms, 250);
+    }
+
+    #[test]
+    fn drain_never_expires_overdue_jobs() {
+        let (d, clock) = daemon(DaemonConfig::default());
+        d.submit(JobSpec::new("a").deadline_ms(10), 0).unwrap();
+        clock.advance(500);
+        let done = drain(&d);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].wait_ms, 500);
+    }
+
+    #[test]
+    fn metrics_account_for_every_submission() {
+        let obs = Obs::disabled();
+        let d = Daemon::new(
+            DaemonConfig {
+                queue_capacity: 3,
+                ..DaemonConfig::default()
+            },
+            Arc::new(ManualClock::new()),
+            obs.clone(),
+        );
+        for i in 0..5u64 {
+            let _ = d.submit(JobSpec::new("a"), i);
+        }
+        assert_eq!(obs.counter_value("sched.submitted"), 3);
+        assert_eq!(obs.counter_value("sched.rejected.queue_full"), 2);
+        drain(&d);
+        assert_eq!(obs.counter_value("sched.dispatched"), 3);
+        assert_eq!(obs.counter_value("sched.completed"), 3);
+        assert_eq!(obs.gauge_value("sched.queue_depth"), 0);
     }
 
     #[test]

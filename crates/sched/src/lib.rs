@@ -16,9 +16,6 @@
 //!   **cooperative preemption** — an executor may park a `Batch` job at a
 //!   journal-frame boundary ([`StepResult::Parked`], `sched.parked`) and
 //!   resume it on a later tick;
-//! * [`Scheduler`] — the legacy batch facade over the daemon, kept so
-//!   existing callers compile (its `drain` is deprecated in favor of the
-//!   daemon loop);
 //! * [`JobSpec::builder`] — the validated construction path for jobs,
 //!   with the dispatch-order contract documented on [`JobSpec`] itself;
 //! * [`Lane`] — three priority lanes (interactive / standard / batch) with
@@ -27,8 +24,12 @@
 //!   virtual [`Clock`] (the same clock trait the rest of the workspace
 //!   uses — re-exported here and from `netsim::clock`, never a third
 //!   abstraction);
-//! * a claim-counter worker pool that multiplexes in-flight chains across
-//!   OS threads while keeping every observable output scheduling-free.
+//! * [`Daemon::drain_all`] — the one-shot batch variant of a tick
+//!   (everything queued, no expiry, no fairness bound, no slicing).
+//!
+//! In-flight chains fan out over [`obs::claim_map`], the workspace's one
+//! claim-counter pool, which keeps every observable output
+//! scheduling-free.
 //!
 //! ## Determinism model
 //!
@@ -45,20 +46,20 @@
 //! worker or 8.
 //!
 //! Like `obs` and `store`, this crate is dependency-free (its only
-//! workspace dependency *is* `obs`): `std::sync` primitives and scoped
-//! threads are all it needs.
+//! workspace dependency *is* `obs`): `std::sync` primitives and the `obs`
+//! pool are all it needs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod daemon;
 mod job;
-mod pool;
-mod queue;
 mod ratelimit;
 
-pub use daemon::{AbandonedJob, Daemon, DaemonConfig, ExecCtx, ExpiredJob, JobEvent, StepResult};
+pub use daemon::{
+    AbandonedJob, CompletedJob, Daemon, DaemonConfig, ExecCtx, ExpiredJob, JobEvent, Rejection,
+    StepResult,
+};
 pub use job::{JobId, JobSpec, JobSpecBuilder, Lane, SpecError};
 pub use obs::Clock;
-pub use queue::{CompletedJob, Rejection, Scheduler, SchedulerConfig};
 pub use ratelimit::TenantRate;

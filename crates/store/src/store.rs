@@ -84,6 +84,9 @@ pub struct AuditStore {
     touched: Mutex<BTreeSet<ContentHash>>,
     /// Appends allowed before [`StoreError::Interrupted`]; `u64::MAX` = off.
     kill_after: AtomicU64,
+    /// Held across the kill-switch check and the append, so concurrent
+    /// workers can never overshoot the armed budget.
+    record_lock: Mutex<()>,
 }
 
 impl AuditStore {
@@ -132,6 +135,7 @@ impl AuditStore {
             replayed: Mutex::new(replayed),
             touched: Mutex::new(BTreeSet::new()),
             kill_after: AtomicU64::new(u64::MAX),
+            record_lock: Mutex::new(()),
         };
         // A fresh journal gets its header frame immediately, so even a run
         // killed after zero units resumes against the right identity.
@@ -162,6 +166,7 @@ impl AuditStore {
     /// armed budget is exhausted, nothing is written and the caller sees
     /// [`StoreError::Interrupted`] — the simulated crash point.
     pub fn record_unit(&self, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), StoreError> {
+        let _serial = self.record_lock.lock().expect("record lock");
         if self.journal.frames_written() >= self.kill_after.load(Ordering::Relaxed) {
             return Err(StoreError::Interrupted);
         }
@@ -315,6 +320,28 @@ mod tests {
         assert_eq!(store.lookup_unit(3, 2), None);
         store.record_unit(3, 2, b"c".to_vec()).unwrap();
         assert!(store.lookup_unit(3, 2).is_some());
+    }
+
+    #[test]
+    fn kill_switch_budget_holds_under_concurrent_records() {
+        let store = Arc::new(AuditStore::open(mem(), 5, false).unwrap());
+        store.set_kill_after(100);
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let recorders: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (store, start) = (store.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..50 {
+                        let _ = store.record_unit(3, t * 100 + i, vec![0; 8]);
+                    }
+                })
+            })
+            .collect();
+        for recorder in recorders {
+            recorder.join().expect("recorder thread panicked");
+        }
+        assert_eq!(store.stats().frames_written, 100, "budget overshot");
     }
 
     #[test]

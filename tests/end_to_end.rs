@@ -153,6 +153,59 @@ fn crawl_stats_account_for_defenses() {
 }
 
 #[test]
+fn crawl_counters_agree_between_in_memory_and_journaled_runs() {
+    use chatbot_audit::StoreConfig;
+    // The defended world of `crawl_stats_account_for_defenses`, crawled
+    // once in memory and once through the journal: one execution path, so
+    // the crawl accounting must not depend on which entry point ran it.
+    let defended = || {
+        build_ecosystem(&EcosystemConfig {
+            num_bots: 600,
+            seed: 4,
+            captcha_every: Some(100),
+            email_wall_after_page: Some(5),
+            ..EcosystemConfig::default()
+        })
+    };
+    let config = || AuditConfig {
+        honeypot_sample: 5,
+        ..AuditConfig::default()
+    };
+    let counters = |pipeline: &AuditPipeline| -> Vec<u64> {
+        [
+            "fetched_full",
+            "pages_fetched",
+            "bots",
+            "captchas_solved",
+            "email_verifications",
+        ]
+        .iter()
+        .map(|name| pipeline.obs().counter_value(&format!("crawl.{name}")))
+        .collect()
+    };
+
+    let in_memory = AuditPipeline::new(config());
+    let (_, stats) = in_memory.run_static_stages(&defended().net);
+    let journaled = AuditPipeline::new(config());
+    journaled
+        .run_resumable(&defended(), &StoreConfig::in_memory(), 4)
+        .expect("journaled run completes");
+
+    let counted = counters(&in_memory);
+    assert_eq!(
+        counted,
+        counters(&journaled),
+        "fetched_full, pages, bots, captchas, emails"
+    );
+    assert!(
+        counted[0] > stats.pages as u64,
+        "every detail-page fetch counts, not just list pages"
+    );
+    assert_eq!(counted[2], 600);
+    assert!(counted[3] > 0, "captchas solved on the crawl");
+}
+
+#[test]
 fn scaling_preserves_shape() {
     // The same qualitative results at two different scales.
     for (n, seed) in [(800usize, 5u64), (1_600, 6)] {

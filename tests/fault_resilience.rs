@@ -234,6 +234,47 @@ fn short_reads_cost_rework_never_correctness() {
 }
 
 #[test]
+fn undecodable_frames_are_recomputed_not_fatal() {
+    use chatbot_audit::{K_ANALYSIS, K_CRAWL_UNIT, K_HONEYPOT, K_LISTING};
+    let baseline = AuditPipeline::new(small_config())
+        .run_resumable(&small_world(2022), &StoreConfig::in_memory(), 2022)
+        .expect("clean run completes")
+        .report
+        .canonical_json();
+
+    let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    let killed = StoreConfig {
+        backend: backend.clone(),
+        resume: false,
+        kill_after_frames: Some(10),
+    };
+    AuditPipeline::new(small_config())
+        .run_resumable(&small_world(2022), &killed, 2022)
+        .expect_err("kill switch fires");
+    // Frames that pass their CRC but not the decoder, as an older build
+    // writing under the same fingerprint might have left them. Later
+    // frames win on replay, so each shadows whatever unit was recorded
+    // under its key before it.
+    let (journal, _) = Journal::open(backend.clone(), JOURNAL_FILE).unwrap();
+    for kind in [K_LISTING, K_CRAWL_UNIT, K_ANALYSIS, K_HONEYPOT] {
+        journal.append(kind, 0, b"\xffnot a unit".to_vec()).unwrap();
+    }
+    drop(journal);
+
+    let pipeline = AuditPipeline::new(small_config());
+    let resumed = StoreConfig {
+        backend,
+        resume: true,
+        kill_after_frames: None,
+    };
+    let outcome = pipeline
+        .run_resumable(&small_world(2022), &resumed, 2022)
+        .expect("undecodable frames are recomputed, not fatal");
+    assert_eq!(outcome.report.canonical_json(), baseline);
+    assert_eq!(pipeline.obs().counter_value("store.journal.undecodable"), 4);
+}
+
+#[test]
 fn flaky_network_and_resume_compose() {
     // The two fault domains together: crash mid-run on a flaky *network*,
     // then resume against a fresh flaky world. Fault rolls draw from the
