@@ -596,7 +596,10 @@ fn obs_bench(args: &Args, path: &str) {
 /// (every worker count must produce byte-identical reports) and what the
 /// incremental re-audit path buys over a cold audit of a drifted epoch.
 fn sched_bench(args: &Args, path: &str) {
-    use chatbot_audit::{platform_breakdown, Audit, FleetConfig, FleetService, PlatformKind};
+    use chatbot_audit::{
+        platform_breakdown, Audit, FleetDaemon, FleetDaemonConfig, JobOutcome, PlatformKind,
+    };
+    use obs::Clock as _;
     use sched::JobSpec;
 
     const TENANTS: usize = 6;
@@ -624,22 +627,30 @@ fn sched_bench(args: &Args, path: &str) {
             .collect::<Vec<_>>()
             .join("\n")
     };
+    // Step the daemon loop a tick at a time until nothing is queued, then
+    // take every settled outcome.
+    let settle = |daemon: &FleetDaemon| -> Vec<JobOutcome> {
+        while daemon.queued() > 0 {
+            daemon.run_until(daemon.clock().now_millis() + daemon.config().tick_ms);
+        }
+        daemon.poll_outcomes()
+    };
 
     let mut runs = Vec::new();
     let mut reference = String::new();
     let mut serial_ms = 0.0_f64;
     for workers in [1usize, 2, 4, 8] {
-        let service = FleetService::new(FleetConfig {
+        let daemon = FleetDaemon::new(FleetDaemonConfig {
             workers,
-            ..FleetConfig::default()
+            ..FleetDaemonConfig::default()
         });
         for t in 0..TENANTS {
-            service
+            daemon
                 .submit(JobSpec::new(format!("tenant-{t}")), job(0))
                 .expect("queue has room");
         }
         let t0 = std::time::Instant::now();
-        let outcomes = service.run();
+        let outcomes = settle(&daemon);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let this = dump(&outcomes);
         if workers == 1 {
@@ -730,11 +741,11 @@ fn sched_bench(args: &Args, path: &str) {
     };
     for _ in 0..ROUNDS {
         let obs = obs::Obs::disabled();
-        let service = FleetService::new(FleetConfig::default());
-        service
+        let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+        daemon
             .submit(JobSpec::new("longitudinal"), inc_job(0))
             .expect("submit epoch 0");
-        service.run();
+        settle(&daemon);
         let at_epoch0 = |path: &str| obs.counter_value(path);
         let base = [
             at_epoch0("crawl.validated"),
@@ -742,23 +753,23 @@ fn sched_bench(args: &Args, path: &str) {
             at_epoch0("crawl.bytes_saved"),
             at_epoch0("honeypot.guilds_reused"),
         ];
-        service
+        daemon
             .submit(JobSpec::new("longitudinal"), instrumented_job(1, &obs))
             .expect("submit warm epoch 1");
         let t0 = std::time::Instant::now();
-        warm = Some(service.run().remove(0));
+        warm = Some(settle(&daemon).remove(0));
         warm_rounds.push(t0.elapsed().as_secs_f64() * 1e3);
         validations = obs.counter_value("crawl.validated") - base[0];
         full_fetches = obs.counter_value("crawl.fetched_full") - base[1];
         bytes_saved = obs.counter_value("crawl.bytes_saved") - base[2];
         guilds_reused = obs.counter_value("honeypot.guilds_reused") - base[3];
 
-        let fresh = FleetService::new(FleetConfig::default());
+        let fresh = FleetDaemon::new(FleetDaemonConfig::default());
         fresh
             .submit(JobSpec::new("cold"), inc_job(1))
             .expect("submit cold epoch 1");
         let t0 = std::time::Instant::now();
-        cold = Some(fresh.run().remove(0));
+        cold = Some(settle(&fresh).remove(0));
         cold_rounds.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     let (warm, cold) = (
@@ -790,7 +801,7 @@ fn sched_bench(args: &Args, path: &str) {
     );
 
     // Heterogeneous fleet: alternate Discord and Telegram tenants through
-    // the same service. The scheduler must not care which substrate a job
+    // the same daemon. The scheduler must not care which substrate a job
     // mounts — reports stay byte-identical at any worker count and the
     // per-platform breakdown accounts for every tenant.
     eprintln!("mixed-platform fleet: {TENANTS} tenants (alternating discord/telegram) …");
@@ -808,9 +819,9 @@ fn sched_bench(args: &Args, path: &str) {
     let mut mixed_serial_ms = 0.0_f64;
     let mut breakdown_json = serde_json::Value::Null;
     for workers in [1usize, 4] {
-        let service = FleetService::new(FleetConfig {
+        let daemon = FleetDaemon::new(FleetDaemonConfig {
             workers,
-            ..FleetConfig::default()
+            ..FleetDaemonConfig::default()
         });
         for t in 0..TENANTS {
             let kind = if t % 2 == 0 {
@@ -818,12 +829,12 @@ fn sched_bench(args: &Args, path: &str) {
             } else {
                 PlatformKind::Telegram
             };
-            service
+            daemon
                 .submit(JobSpec::new(format!("mixed-{t}")), mixed_job(kind))
                 .expect("queue has room");
         }
         let t0 = std::time::Instant::now();
-        let outcomes = service.run();
+        let outcomes = settle(&daemon);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let this = dump(&outcomes);
         if workers == 1 {
@@ -866,7 +877,7 @@ fn sched_bench(args: &Args, path: &str) {
     // tick granularity while the flooder's sliced batch jobs wait out
     // their own backlog. Everything runs on the virtual clock and must
     // be byte-identical at 1 vs 4 workers.
-    use chatbot_audit::{ErrorKind, FleetDaemon, FleetDaemonConfig};
+    use chatbot_audit::ErrorKind;
     use netsim::VirtualClock;
     use std::sync::Arc;
 

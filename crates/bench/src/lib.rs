@@ -33,8 +33,10 @@ pub fn prepare_world(num_bots: usize, seed: u64) -> PreparedWorld {
 /// pool, honeypot campaigns) set to `workers`.
 pub fn prepare_world_workers(num_bots: usize, seed: u64, workers: usize) -> PreparedWorld {
     let eco = build_ecosystem(&EcosystemConfig::test_scale(num_bots, seed));
-    let mut config = AuditConfig::default();
-    config.workers = workers;
+    let mut config = AuditConfig {
+        workers,
+        ..AuditConfig::default()
+    };
     config.crawl.workers = workers;
     config.honeypot.workers = workers;
     let pipeline = AuditPipeline::new(config);

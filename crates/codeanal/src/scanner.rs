@@ -148,7 +148,7 @@ fn emit_code_bytes(content: &str, lang: &Language, mut emit: impl FnMut(u8)) {
 
 /// Strip line comments and string literals for the given language,
 /// materialized as a string. The scan hot path no longer calls this (it
-/// streams [`emit_code_bytes`] straight into the automaton); it remains the
+/// streams `emit_code_bytes` straight into the automaton); it remains the
 /// reference implementation the differential property tests and benches
 /// compare the fused scan against.
 pub fn strip_noncode(content: &str, lang: &Language) -> String {

@@ -9,9 +9,6 @@
 //! validates the combination up front, and [`Audit::run`] /
 //! [`Audit::run_resumable`] return the canonical report behind the single
 //! [`AuditError`] surface.
-//!
-//! The old structs remain available (hidden from docs) so existing code and
-//! tests keep compiling; new code should not need them.
 
 use crate::error::AuditError;
 use crate::pipeline::{AuditConfig, AuditPipeline};
@@ -463,8 +460,8 @@ impl AuditBuilder {
         })
     }
 
-    /// Validate and wrap the audit as a fleet-service job, ready for
-    /// [`FleetService::submit`](crate::FleetService::submit).
+    /// Validate and wrap the audit as a fleet job, ready for
+    /// [`FleetDaemon::submit`](crate::FleetDaemon::submit).
     ///
     /// # Errors
     ///

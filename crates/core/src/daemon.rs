@@ -1,15 +1,24 @@
-//! The always-on fleet daemon: the audit service as a long-lived loop.
+//! The always-on fleet daemon: audits as a long-running, multi-tenant
+//! service.
 //!
-//! [`FleetService`](crate::FleetService) runs the fleet the way the paper
-//! ran its crawl — submit a batch, drain it, read the reports. A real
-//! audit service never drains: tenants submit forever, an interactive
-//! request must not sit behind a 300-bot backfill, and a job whose
-//! deadline has passed is worthless to run. [`FleetDaemon`] is the
-//! redesigned service API for that shape:
+//! The paper's measurement was one batch crawl. Run as a service —
+//! several teams re-auditing their bot populations on their own cadences —
+//! the same pipeline needs an admission-controlled queue, fair scheduling
+//! across tenants, and an incremental path so that re-auditing a world in
+//! which 4% of bots drifted does not redo 100% of the analysis. It also
+//! never drains: tenants submit forever, an interactive request must not
+//! sit behind a 300-bot backfill, and a job whose deadline has passed is
+//! worthless to run. [`FleetDaemon`] is that service:
 //!
 //! * [`FleetDaemon::submit`] validates the spec up front (path-shaped
-//!   tenant ids, zero weights, deadlines already in the past all fail
-//!   fast with a `config`-kind error) and returns a typed [`JobHandle`];
+//!   tenant ids, zero weights, deadlines already in the past, and epochs
+//!   at or below the tenant's newest all fail fast with a `config`-kind
+//!   error) and returns a typed [`JobHandle`];
+//! * every tenant gets its own journal + artifact pack, namespaced inside
+//!   one root [`Backend`] via [`ScopedBackend`] — so a tenant's epoch-N+1
+//!   audit re-analyzes only bots whose content hash changed since epoch N
+//!   — and each settled [`JobOutcome`] carries a [`DeltaReport`] against
+//!   the tenant's previous run, committed to the tenant's epoch chain;
 //! * [`FleetDaemon::tick`] runs one scheduler round at the current
 //!   virtual time: overdue queued jobs expire with a typed
 //!   [`AuditError::Expired`] outcome, deficit-round-robin grants each
@@ -28,8 +37,8 @@
 //! Everything observable — outcomes, deltas, expiry decisions, the
 //! `sched.tick` span tree and `sched.*` counters — is a pure function of
 //! the submission sequence and clock advances, byte-identical at any
-//! worker count. The `daemon_determinism` integration suite pins this
-//! under adversarial load.
+//! worker count. The `sched_determinism` and `daemon_determinism`
+//! integration suites pin this, the latter under adversarial load.
 
 use crate::delta::DeltaReport;
 use crate::error::AuditError;
@@ -49,10 +58,8 @@ use store::{
     ArtifactCache, Backend, ContentHash, MemBackend, ScopedBackend, StoreStats, PACK_FILE,
 };
 
-/// Knobs for the always-on daemon. The scheduler trio
-/// (`queue_capacity` / `workers` / `tenant_rate`) matches
-/// [`FleetConfig`](crate::FleetConfig); the rest configure the loop
-/// itself.
+/// Knobs for the always-on daemon: the scheduler trio
+/// (`queue_capacity` / `workers` / `tenant_rate`) plus the loop itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetDaemonConfig {
     /// Maximum jobs queued awaiting dispatch.
@@ -65,7 +72,7 @@ pub struct FleetDaemonConfig {
     /// Deficit-round-robin quantum: each tick every backlogged tenant
     /// earns `quantum × weight` dispatch slots, which bounds the service
     /// gap between equal-weight tenants. `0` disables fairness bounding
-    /// (every tick drains everything, the legacy behavior).
+    /// (every tick dispatches everything queued).
     pub quantum: u32,
     /// Cooperative preemption slice for `Batch`-lane audits, in journal
     /// frames. A batch audit that appends this many fresh frames in one
@@ -155,11 +162,11 @@ pub(crate) struct TenantState {
 }
 
 /// The epochs a tenant has used, split by lifecycle. Seeded from the
-/// tenant's persisted epoch chain on first touch, so duplicate rejection
-/// survives daemon restarts.
+/// tenant's persisted epoch chain on first touch, so stale-epoch
+/// rejection survives daemon restarts.
 #[derive(Default)]
 struct EpochLedger {
-    /// Epochs submitted through the strict path and not yet settled.
+    /// Epochs submitted and not yet settled.
     inflight: BTreeSet<u32>,
     /// Epochs with a successfully settled audit (persisted or this run's).
     committed: BTreeSet<u32>,
@@ -267,37 +274,20 @@ impl FleetDaemon {
     ///
     /// Fails fast — before anything is queued — with a `config`-kind
     /// error on a path-shaped tenant id, a zero weight, a deadline
-    /// already behind the virtual clock, or a `(tenant, epoch)` pair the
-    /// tenant has already run or has in flight (re-running an epoch would
-    /// silently overwrite the tenant's delta baseline and fork its epoch
-    /// chain); and with a `saturated`-kind error when the queue is full
-    /// or the tenant is over its rate. All of it deterministic given the
-    /// same submission sequence at the same virtual times.
+    /// already behind the virtual clock, or an epoch at or below the
+    /// newest one the tenant has run or has in flight (re-running or
+    /// rewinding an epoch would overwrite the tenant's delta baseline and
+    /// corrupt its epoch chain); and with a `saturated`-kind error when
+    /// the queue is full or the tenant is over its rate. All of it
+    /// deterministic given the same submission sequence at the same
+    /// virtual times.
     pub fn submit(&self, spec: JobSpec, job: AuditJob) -> Result<JobHandle, AuditError> {
-        self.admit(spec, job, true)
-    }
-
-    /// Shared admission path. The legacy batch facade skips the strict
-    /// checks — past-deadline rejection (it never expires jobs, so a
-    /// stale deadline is merely an ordering hint there) and duplicate
-    /// `(tenant, epoch)` rejection (its callers replay whole submission
-    /// plans, deliberate duplicates included).
-    pub(crate) fn admit(
-        &self,
-        spec: JobSpec,
-        job: AuditJob,
-        strict: bool,
-    ) -> Result<JobHandle, AuditError> {
         validate_tenant(&spec.tenant)?;
         if spec.weight == 0 {
             return Err(sched::SpecError::ZeroWeight {
                 tenant: spec.tenant,
             }
             .into());
-        }
-        if !strict {
-            let id = self.daemon.submit(spec, job)?;
-            return Ok(JobHandle { id });
         }
         if let Some(deadline) = spec.deadline_ms {
             let now = self.clock.now_millis();
@@ -313,16 +303,19 @@ impl FleetDaemon {
         let epoch = job.epoch();
         let mut ledgers = self.epochs.lock().expect("epoch ledger poisoned");
         let ledger = self.ledger_entry(&mut ledgers, &tenant);
-        if ledger.committed.contains(&epoch) || ledger.inflight.contains(&epoch) {
+        let newest = ledger.committed.last().max(ledger.inflight.last());
+        if let Some(&newest) = newest.filter(|&&newest| epoch <= newest) {
             let state = if ledger.inflight.contains(&epoch) {
-                "is already in flight"
+                "is already in flight".to_string()
+            } else if ledger.committed.contains(&epoch) {
+                "has already run".to_string()
             } else {
-                "has already run"
+                format!("is older than its newest epoch {newest}")
             };
             return Err(AuditError::config(format!(
-                "tenant {tenant:?} epoch {epoch} {state}: re-running an epoch \
-                 would overwrite the tenant's delta baseline; submit the next \
-                 epoch (or clone the tenant for a what-if re-audit) instead"
+                "tenant {tenant:?} epoch {epoch} {state}: a re-run or late \
+                 epoch would rewind the tenant's delta baseline; submit the \
+                 next epoch (or clone the tenant for a what-if re-audit) instead"
             )));
         }
         let id = self.daemon.submit(spec, job)?;
@@ -421,7 +414,10 @@ impl FleetDaemon {
     pub fn shutdown(self, mode: ShutdownMode) -> ShutdownReport {
         let abandoned = match mode {
             ShutdownMode::Drain => {
-                self.drain_queue();
+                let completed = self
+                    .daemon
+                    .drain_all(|_id, spec, job: &mut AuditJob, ctx| self.execute(spec, job, ctx));
+                self.settle(completed.into_iter().map(JobEvent::Completed).collect());
                 Vec::new()
             }
             ShutdownMode::Abandon => self
@@ -439,17 +435,6 @@ impl FleetDaemon {
             outcomes: self.poll_outcomes(),
             abandoned,
         }
-    }
-
-    /// Drain the queue with legacy batch semantics (no expiry, no
-    /// fairness bound, no slicing) and settle every completion. The
-    /// legacy facade's `run` is exactly this plus a
-    /// [`Self::poll_outcomes`].
-    pub(crate) fn drain_queue(&self) -> Vec<JobHandle> {
-        let completed = self
-            .daemon
-            .drain_all(|_id, spec, job: &mut AuditJob, ctx| self.execute(spec, job, ctx));
-        self.settle(completed.into_iter().map(JobEvent::Completed).collect())
     }
 
     /// Run one dispatch slice of `job` against its tenant's scoped store.
@@ -551,8 +536,9 @@ impl FleetDaemon {
     /// and delta as content-addressed pack blobs, then append the linked
     /// epoch record. Best-effort by design — the chain is history, the
     /// outcome already stands — so failures only move `oplog.*` counters.
-    /// An epoch at or below the persisted head (the legacy facade's
-    /// deliberate resubmissions) is skipped, never forked.
+    /// Admission refuses epochs at or below the tenant's newest, so the
+    /// head check is a backstop: an epoch that still meets a chain head at
+    /// or past it is skipped, never forked.
     fn append_epoch(
         &self,
         backend: &Arc<dyn Backend>,
@@ -708,6 +694,12 @@ impl FleetDaemon {
                 }
                 _ => AuditError::Store(e.into()),
             })?;
+        // A refused submission may already have opened `dst`'s epoch
+        // ledger; reseed it from the cloned chain on next touch.
+        self.epochs
+            .lock()
+            .expect("epoch ledger poisoned")
+            .remove(dst);
         self.obs.counter("oplog.clones").incr();
         Ok(genesis)
     }
@@ -848,10 +840,61 @@ mod tests {
             "{err}"
         );
 
-        let err = daemon.submit(JobSpec::new("a/b"), job(7, 0)).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Config);
+        for bad in ["", ".", "..", "a/b", "a\\b", "../escape"] {
+            let err = daemon.submit(JobSpec::new(bad), job(7, 0)).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Config, "tenant {bad:?}");
+        }
 
         assert_eq!(daemon.queued(), 0, "rejected jobs must not be queued");
+    }
+
+    #[test]
+    fn disk_backend_persists_tenant_packs_across_restarts() {
+        let dir = std::env::temp_dir().join(format!("fleet-disk-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let daemon = FleetDaemon::with_backend(
+            FleetDaemonConfig::default(),
+            Arc::new(store::DiskBackend::open(&dir).unwrap()),
+        );
+        let h = daemon.submit(JobSpec::new("acme"), job(2022, 0)).unwrap();
+        daemon.run_until(50);
+        let first = daemon.resolve(h).expect("settled");
+        assert!(first.report.is_ok(), "disk-backed audit must complete");
+        assert!(first.artifact_misses > 0);
+        drop(daemon);
+
+        // A fresh daemon over the same root finds the warm pack.
+        let revived = FleetDaemon::with_backend(
+            FleetDaemonConfig::default(),
+            Arc::new(store::DiskBackend::open(&dir).unwrap()),
+        );
+        let h = revived.submit(JobSpec::new("acme"), job(2022, 1)).unwrap();
+        revived.run_until(50);
+        let second = revived.resolve(h).expect("settled");
+        assert!(second.report.is_ok());
+        assert!(
+            second.artifact_hits > 0,
+            "undrifted bots must come from the persisted pack"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tenants_do_not_share_artifact_packs() {
+        let daemon = FleetDaemon::new(FleetDaemonConfig {
+            workers: 2,
+            ..FleetDaemonConfig::default()
+        });
+        daemon.submit(JobSpec::new("a"), job(5, 0)).unwrap();
+        daemon.submit(JobSpec::new("b"), job(5, 0)).unwrap();
+        daemon.run_until(50);
+        let outcomes = daemon.poll_outcomes();
+        assert_eq!(outcomes.len(), 2);
+        // Same world, but tenant b's cold run cannot hit tenant a's pack.
+        for o in &outcomes {
+            assert_eq!(o.artifact_hits, 0, "tenant {} leaked a pack", o.tenant);
+        }
     }
 
     #[test]
@@ -913,6 +956,45 @@ mod tests {
         assert!(err.to_string().contains("has already run"), "{err}");
         // ...while the next epoch is admitted normally.
         daemon.submit(JobSpec::new("acme"), job(7, 1)).unwrap();
+    }
+
+    #[test]
+    fn stale_epochs_are_rejected_behind_committed_and_queued_ones() {
+        let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+        daemon.submit(JobSpec::new("acme"), job(7, 1)).unwrap();
+        daemon.run_until(100);
+        // A late epoch 0 would become the delta baseline: epoch 2 would
+        // then diff against it while the chain names epoch 1 its parent.
+        let err = daemon.submit(JobSpec::new("acme"), job(7, 0)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Config);
+        assert!(err.to_string().contains("older than"), "{err}");
+
+        // An epoch queued behind a newer one is just as stale.
+        daemon.submit(JobSpec::new("beta"), job(7, 2)).unwrap();
+        let err = daemon.submit(JobSpec::new("beta"), job(7, 1)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Config);
+        assert!(err.to_string().contains("older than"), "{err}");
+        assert_eq!(daemon.queued(), 1, "the stale epoch must not be queued");
+    }
+
+    #[test]
+    fn a_clone_genesis_counts_as_the_clones_newest_epoch() {
+        let daemon = FleetDaemon::new(FleetDaemonConfig {
+            queue_capacity: 1,
+            ..FleetDaemonConfig::default()
+        });
+        daemon.submit(JobSpec::new("acme"), job(7, 1)).unwrap();
+        // A refused submission still touches the fork's epoch ledger.
+        let err = daemon.submit(JobSpec::new("fork"), job(7, 0)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Saturated);
+        daemon.run_until(100);
+
+        let genesis = daemon.clone_tenant("acme", "fork").unwrap();
+        assert_eq!(genesis.epoch, 1);
+        let err = daemon.submit(JobSpec::new("fork"), job(7, 0)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Config);
+        assert!(err.to_string().contains("older than"), "{err}");
+        daemon.submit(JobSpec::new("fork"), job(7, 2)).unwrap();
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   tenants' audits as a long-lived loop on the virtual clock, with
 //!   deficit-round-robin fairness, typed deadline expiry, and
 //!   cooperative preemption of batch audits at journal-frame boundaries;
-//! * [`service`] — the legacy batch facade over the daemon:
-//!   [`FleetService`] submits and drains, re-audits drifted worlds
-//!   incrementally, and emits [`DeltaReport`]s;
+//!   it re-audits drifted worlds incrementally and emits
+//!   [`DeltaReport`]s;
+//! * [`service`] — the fleet's job vocabulary: [`AuditJob`] in,
+//!   [`JobOutcome`] out, and the per-platform [`platform_breakdown`];
 //! * [`pipeline`] — stage orchestration over a mounted world (the `synth`
 //!   ecosystem or any compatible set of services);
 //! * [`stats`] — the aggregations behind every table and figure in §4.2;
@@ -54,19 +55,19 @@ pub use daemon::{
 pub use delta::{DeltaReport, PermissionChange, TraceabilityTransition};
 pub use error::{AuditError, ErrorKind};
 pub use leastpriv::{least_privilege_summary, privilege_gaps, LeastPrivilegeSummary, PrivilegeGap};
-pub use pipeline::{AuditPipeline, AuditReport, AuditedBot, CodeFinding, LinkResolution};
+pub use pipeline::{
+    AuditConfig, AuditPipeline, AuditReport, AuditedBot, CodeFinding, LinkResolution,
+};
 pub use report::{
     exposure_by_flag, render_figure3, render_markdown_dossier, render_table1, render_table2,
     render_table3, risk_report, CanonicalBot, CanonicalCampaign, CanonicalDetection,
     CanonicalReport, RiskFlag, RiskReport,
 };
 pub use resume::{
-    run_fingerprint, ResumableOutcome, ResumeError, CRAWL_UNIT_SIZE, K_ANALYSIS, K_COMPLETE,
-    K_CRAWL_UNIT, K_HONEYPOT, K_LISTING,
+    run_fingerprint, ResumableOutcome, ResumeError, StoreConfig, CRAWL_UNIT_SIZE, K_ANALYSIS,
+    K_COMPLETE, K_CRAWL_UNIT, K_HONEYPOT, K_LISTING,
 };
-pub use service::{
-    platform_breakdown, AuditJob, FleetConfig, FleetService, JobOutcome, PlatformBreakdown,
-};
+pub use service::{platform_breakdown, AuditJob, JobOutcome, PlatformBreakdown};
 pub use stats::{
     figure3_distribution, permission_rate_by_tag, table1_histogram, table2_traceability,
     table3_code_analysis, Figure3Row, Table1Row, Table2Summary, Table3Summary,
@@ -84,20 +85,3 @@ pub use oplog::{
     fleet_drift_curves, BotFlips, CompactionOutcome, CreepEntry, DriftPoint, EpochRecord,
     EpochTrend, PermissionCreep, PlatformDrift, TrendQuery,
 };
-
-// The pre-facade configuration structs. Superseded by [`Audit::builder`]
-// but re-exported (hidden) so existing call sites keep compiling.
-#[doc(hidden)]
-pub use botlist::SiteConfig;
-#[doc(hidden)]
-pub use crawler::crawl::CrawlConfig;
-#[doc(hidden)]
-pub use honeypot::campaign::CampaignConfig;
-#[doc(hidden)]
-pub use netsim::client::ClientConfig;
-#[doc(hidden)]
-pub use pipeline::AuditConfig;
-#[doc(hidden)]
-pub use resume::StoreConfig;
-#[doc(hidden)]
-pub use synth::EcosystemConfig;

@@ -364,7 +364,7 @@ impl AuditPipeline {
     /// returned snapshots (one per tested bot) feed the next re-audit.
     /// Dispatches on the ecosystem's substrate: the same generic campaign
     /// drives Discord OAuth installs or Telegram deep links.
-    pub fn run_honeypot_with_reuse(
+    pub(crate) fn run_honeypot_with_reuse(
         &self,
         eco: &Ecosystem,
         reuse: &std::collections::BTreeMap<String, GuildSnapshot>,
@@ -379,7 +379,7 @@ impl AuditPipeline {
                     .into_iter()
                     .map(|(but, _)| but)
                     .collect();
-                campaign.run_traced_with_reuse(bots, &self.obs, &root, reuse)
+                campaign.run_traced(bots, &self.obs, &root, reuse)
             }
             PlatformKind::Telegram => {
                 let tg = eco
@@ -394,7 +394,7 @@ impl AuditPipeline {
                     .into_iter()
                     .map(|(but, _)| but)
                     .collect();
-                campaign.run_traced_with_reuse(bots, &self.obs, &root, reuse)
+                campaign.run_traced(bots, &self.obs, &root, reuse)
             }
         }
     }

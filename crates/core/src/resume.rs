@@ -322,7 +322,14 @@ impl AuditPipeline {
         world_seed: u64,
     ) -> Result<ResumableOutcome, ResumeError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        self.run_with_store(eco, &store_cfg.open(fingerprint)?, fingerprint)
+        self.run_journaled(
+            eco,
+            Journaled {
+                store: &store_cfg.open(fingerprint)?,
+                fingerprint,
+                inc: None,
+            },
+        )
     }
 
     /// [`Self::run_resumable`] with the conditional-fetch warm path armed.
@@ -371,24 +378,6 @@ impl AuditPipeline {
                 store: &store,
                 fingerprint,
                 inc: inc.as_ref(),
-            },
-        )
-    }
-
-    /// [`Self::run_resumable`] against an already-open store handle. Tests
-    /// use this to crash and resume on one in-memory backend.
-    pub fn run_with_store(
-        &self,
-        eco: &Ecosystem,
-        store: &AuditStore,
-        fingerprint: u64,
-    ) -> Result<ResumableOutcome, ResumeError> {
-        self.run_journaled(
-            eco,
-            Journaled {
-                store,
-                fingerprint,
-                inc: None,
             },
         )
     }

@@ -634,7 +634,6 @@ mod tests {
                     rate_limit: None,
                     email_wall_after_page: None,
                     stale_validators: stale,
-                    ..SiteConfig::open()
                 },
             )
             .mount(&net);

@@ -226,27 +226,18 @@ impl<S: ChatSubstrate> Campaign<S> {
 
     /// Run the whole campaign over a fleet of bots.
     pub fn run(&mut self, bots: Vec<BotUnderTest<S>>) -> CampaignReport {
-        self.run_traced(bots, &Obs::disabled(), &Span::disabled())
+        self.run_traced(bots, &Obs::disabled(), &Span::disabled(), &BTreeMap::new())
+            .0
     }
 
-    /// [`Campaign::run`] with observability attached.
+    /// [`Campaign::run`] with observability and prior-run guild
+    /// transcripts attached.
     ///
     /// Opens a `honeypot` span under `parent` with a `setup` child for the
     /// serial phase and one `guild` child per populated guild, keyed by the
     /// guild's position in bot-name order — the same index that selects its
     /// RNG stream, so the canonical trace is identical at any worker count.
     /// Metrics go to `obs` under `honeypot.*`.
-    pub fn run_traced(
-        &mut self,
-        bots: Vec<BotUnderTest<S>>,
-        obs: &Obs,
-        parent: &Span,
-    ) -> CampaignReport {
-        self.run_traced_with_reuse(bots, obs, parent, &BTreeMap::new())
-            .0
-    }
-
-    /// [`Campaign::run_traced`] with prior-run guild transcripts attached.
     ///
     /// Phase 1 (guild creation, persona joins, installs, backend connects)
     /// always runs for every bot, so platform state — guild IDs, user IDs,
@@ -260,7 +251,7 @@ impl<S: ChatSubstrate> Campaign<S> {
     /// Returns the report plus one [`GuildSnapshot`] per tested bot
     /// (reused ones pass through), sorted by bot name — the caller's cache
     /// fodder for the next re-audit.
-    pub fn run_traced_with_reuse(
+    pub fn run_traced(
         &mut self,
         bots: Vec<BotUnderTest<S>>,
         obs: &Obs,
@@ -1030,7 +1021,7 @@ mod tests {
                 Obs::with_recorder(recorder.clone(), std::sync::Arc::new(net.clock().clone()));
             {
                 let root = obs_handle.span("audit");
-                campaign.run_traced(bots, &obs_handle, &root);
+                campaign.run_traced(bots, &obs_handle, &root, &BTreeMap::new());
             }
             recorder.canonical_trace()
         };
@@ -1113,7 +1104,7 @@ mod tests {
         // Full run: every guild populated, snapshots captured.
         let (platform, net, dev) = world();
         let mut campaign = Campaign::new(discord(&platform, &net), CampaignConfig::default());
-        let (full, snapshots) = campaign.run_traced_with_reuse(
+        let (full, snapshots) = campaign.run_traced(
             fleet(&platform, dev),
             &Obs::disabled(),
             &Span::disabled(),
@@ -1132,7 +1123,7 @@ mod tests {
             .collect();
         let (platform, net, dev) = world();
         let mut campaign = Campaign::new(discord(&platform, &net), CampaignConfig::default());
-        let (merged, merged_snapshots) = campaign.run_traced_with_reuse(
+        let (merged, merged_snapshots) = campaign.run_traced(
             fleet(&platform, dev),
             &Obs::disabled(),
             &Span::disabled(),

@@ -6,7 +6,7 @@
 //! with hundreds of nodes naming the same dozen tags) that is millions of
 //! identical allocations. [`Atom`] fixes the cost three ways:
 //!
-//! 1. a static table of well-known lowercase names ([`WELL_KNOWN`]) that
+//! 1. a static table of well-known lowercase names (`WELL_KNOWN`) that
 //!    resolve to `&'static str` — zero allocation, ever;
 //! 2. a per-parse [`AtomInterner`] (backed by [`matchkit::Interner`]) that
 //!    allocates each *unknown* name once per document and hands out shared

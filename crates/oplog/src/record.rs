@@ -70,7 +70,7 @@ pub struct EpochTrend {
 /// `parent` hash-links the record to the exact bytes of its predecessor
 /// frame, so the chain is tamper- and truncation-evident on open. All
 /// content keys are rendered as 32-char lowercase hex (see
-/// [`hexhash`](crate::hexhash)).
+/// [`hexhash`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochRecord {
     /// This epoch's number (monotonically increasing per tenant, gaps

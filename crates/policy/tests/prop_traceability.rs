@@ -25,7 +25,7 @@ proptest! {
     fn corpus_classification_invariant(seed in any::<u64>()) {
         let ontology = KeywordOntology::standard();
         let mut rng = StdRng::seed_from_u64(seed);
-        let complete = corpus::complete_policy(&mut rng, "B", seed % 2 == 0);
+        let complete = corpus::complete_policy(&mut rng, "B", seed.is_multiple_of(2));
         prop_assert_eq!(
             analyze(Some(&complete), &[], &ontology).classification,
             Traceability::Complete

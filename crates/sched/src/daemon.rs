@@ -21,8 +21,9 @@
 //!    tick.
 //!
 //! [`Daemon::drain_all`] is the one-shot batch variant (everything
-//! queued, no expiry, no fairness bound, no slicing) that shutdown and
-//! the fleet's batch facade use.
+//! queued, no expiry, no fairness bound, no slicing) that serves a
+//! shutdown drain: overdue and batch jobs alike run unsliced to
+//! completion.
 //!
 //! Everything observable — events, counters, the merged span tree — is a
 //! pure function of the submission history and tick times, independent of

@@ -25,7 +25,8 @@
 //!   uses — re-exported here and from `netsim::clock`, never a third
 //!   abstraction);
 //! * [`Daemon::drain_all`] — the one-shot batch variant of a tick
-//!   (everything queued, no expiry, no fairness bound, no slicing).
+//!   (everything queued, no expiry, no fairness bound, no slicing), which
+//!   serves shutdown drains.
 //!
 //! In-flight chains fan out over [`obs::claim_map`], the workspace's one
 //! claim-counter pool, which keeps every observable output

@@ -6,8 +6,8 @@
 //! for the broken-invite population, the captcha solver, and the OAuth
 //! install endpoint — all against one virtual clock.
 //!
-//! Assembly is two-phase: [`crate::plan::plan_world`] makes every random
-//! draw and captures the outcome as data, then [`mount_world`] (below)
+//! Assembly is two-phase: `plan::plan_world` makes every random
+//! draw and captures the outcome as data, then `mount_world` (below)
 //! materialises the plan without consuming any randomness. The split
 //! exists for the longitudinal drift model — [`crate::drift`] rewrites the
 //! plan between epochs and re-mounts, keeping undrifted bots byte-identical

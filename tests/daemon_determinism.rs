@@ -17,11 +17,9 @@
 //!    job arrives mid-park — the epoch-1 re-audit must find the warm
 //!    pack its parked predecessor was still writing.
 //! 4. A sliced, parked-and-resumed batch audit produces a report
-//!    byte-identical to the legacy unsliced batch drain.
+//!    byte-identical to the unsliced shutdown drain.
 
-use chatbot_audit::{
-    Audit, AuditJob, ErrorKind, FleetConfig, FleetDaemon, FleetDaemonConfig, FleetService,
-};
+use chatbot_audit::{Audit, AuditJob, ErrorKind, FleetDaemon, FleetDaemonConfig, ShutdownMode};
 use netsim::{Clock, VirtualClock};
 use obs::{JsonRecorder, Obs};
 use sched::JobSpec;
@@ -240,16 +238,17 @@ fn parked_batch_blocks_same_tenant_interactive_submitted_mid_park() {
 
 #[test]
 fn sliced_batch_audit_matches_legacy_unsliced_drain_byte_for_byte() {
-    // Legacy reference: the batch facade, no slicing, no expiry.
-    let service = FleetService::new(FleetConfig::default());
-    service
+    // Reference: a shutdown drain, which runs the audit unsliced.
+    let unsliced = FleetDaemon::new(FleetDaemonConfig::default());
+    unsliced
         .submit(JobSpec::new("acme"), job(2022, 0))
         .expect("admitted");
-    let reference = service
-        .run()
+    let reference = unsliced
+        .shutdown(ShutdownMode::Drain)
+        .outcomes
         .remove(0)
         .report
-        .expect("legacy audit completes");
+        .expect("unsliced audit completes");
 
     // Daemon with an aggressive 4-frame slice: the same audit parks and
     // resumes from its journal many times.

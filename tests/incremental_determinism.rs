@@ -15,8 +15,8 @@
 //!    ledger did not name. No more (nothing reused twice), no less
 //!    (nothing refetched that could have been 304'd).
 
-use chatbot_audit::{Audit, AuditJob, FleetConfig, FleetService};
-use obs::Obs;
+use chatbot_audit::{Audit, AuditJob, FleetDaemon, FleetDaemonConfig, JobOutcome};
+use obs::{Clock, Obs};
 use sched::JobSpec;
 use synth::{build_ecosystem_at, DriftConfig, EcosystemConfig};
 
@@ -35,31 +35,40 @@ fn job(seed: u64, epoch: u32, stale: bool) -> AuditJob {
         .expect("valid job")
 }
 
+/// Step the daemon loop a tick at a time until nothing is queued, then
+/// take every settled outcome.
+fn settle(daemon: &FleetDaemon) -> Vec<JobOutcome> {
+    while daemon.queued() > 0 {
+        daemon.run_until(daemon.clock().now_millis() + daemon.config().tick_ms);
+    }
+    daemon.poll_outcomes()
+}
+
 /// Epoch 0 then epoch 1 on one tenant (the epoch-1 pass runs warm against
 /// the tenant's validator cache), plus a cold epoch-1 audit on a fresh
 /// tenant. Returns both epoch-1 reports serialized.
 fn warm_vs_cold(seed: u64, workers: usize, stale: bool) -> (String, String) {
-    let service = FleetService::new(FleetConfig {
+    let daemon = FleetDaemon::new(FleetDaemonConfig {
         workers,
-        ..FleetConfig::default()
+        ..FleetDaemonConfig::default()
     });
-    service
+    daemon
         .submit(JobSpec::new("acme"), job(seed, 0, stale))
         .expect("submit epoch 0");
-    service.run();
-    service
+    settle(&daemon);
+    daemon
         .submit(JobSpec::new("acme"), job(seed, 1, stale))
         .expect("submit warm epoch 1");
-    let warm = service.run().remove(0);
+    let warm = settle(&daemon).remove(0);
 
-    let fresh = FleetService::new(FleetConfig {
+    let fresh = FleetDaemon::new(FleetDaemonConfig {
         workers,
-        ..FleetConfig::default()
+        ..FleetDaemonConfig::default()
     });
     fresh
         .submit(JobSpec::new("other"), job(seed, 1, stale))
         .expect("submit cold epoch 1");
-    let cold = fresh.run().remove(0);
+    let cold = settle(&fresh).remove(0);
 
     (
         serde_json::to_string(warm.report.as_ref().expect("warm audit completes")).unwrap(),
@@ -93,11 +102,11 @@ fn lying_validators_cannot_poison_the_report() {
     // Instrumented warm pass against the faulty site: the drift ledger
     // names the changed bots, the site 304s their probes anyway.
     let obs = Obs::disabled();
-    let service = FleetService::new(FleetConfig::default());
-    service
+    let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+    daemon
         .submit(JobSpec::new("acme"), job(seed, 0, true))
         .expect("submit epoch 0");
-    service.run();
+    settle(&daemon);
     let stale_job = Audit::builder()
         .scale(BOTS)
         .seed(seed)
@@ -109,10 +118,10 @@ fn lying_validators_cannot_poison_the_report() {
         .obs(obs.clone())
         .into_job()
         .expect("valid job");
-    service
+    daemon
         .submit(JobSpec::new("acme"), stale_job)
         .expect("submit warm epoch 1");
-    let warm = service.run().remove(0);
+    let warm = settle(&daemon).remove(0);
     assert!(
         obs.counter_value("crawl.validator_stale") > 0,
         "the faulty 304s must be detected, not silently trusted"
@@ -120,11 +129,11 @@ fn lying_validators_cannot_poison_the_report() {
 
     // The cold audit never sends `if-none-match`, so the fault cannot
     // touch it — it is the ground truth the warm report must match.
-    let fresh = FleetService::new(FleetConfig::default());
+    let fresh = FleetDaemon::new(FleetDaemonConfig::default());
     fresh
         .submit(JobSpec::new("other"), job(seed, 1, true))
         .expect("submit cold epoch 1");
-    let cold = fresh.run().remove(0);
+    let cold = settle(&fresh).remove(0);
     assert_eq!(
         serde_json::to_string(warm.report.as_ref().expect("warm audit completes")).unwrap(),
         serde_json::to_string(cold.report.as_ref().expect("cold audit completes")).unwrap(),
@@ -152,11 +161,11 @@ fn validator_hits_equal_reused_pages_exactly() {
     );
 
     let obs = Obs::disabled();
-    let service = FleetService::new(FleetConfig::default());
-    service
+    let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+    daemon
         .submit(JobSpec::new("acme"), job(seed, 0, false))
         .expect("submit epoch 0");
-    service.run();
+    settle(&daemon);
     let warm_job = Audit::builder()
         .scale(BOTS)
         .seed(seed)
@@ -167,10 +176,10 @@ fn validator_hits_equal_reused_pages_exactly() {
         .obs(obs.clone())
         .into_job()
         .expect("valid job");
-    service
+    daemon
         .submit(JobSpec::new("acme"), warm_job)
         .expect("submit warm epoch 1");
-    let warm = service.run().remove(0);
+    let warm = settle(&daemon).remove(0);
     let report = warm.report.as_ref().expect("warm audit completes");
 
     // One hit per reused logical page: every list page (the listing order

@@ -1,6 +1,6 @@
 //! The heterogeneous-fleet regression tier.
 //!
-//! One fleet service multiplexing Discord and Telegram tenants must keep
+//! One fleet daemon multiplexing Discord and Telegram tenants must keep
 //! every determinism promise the single-platform tiers pin:
 //!
 //! 1. A mixed-platform, multi-epoch fleet run produces byte-identical
@@ -14,8 +14,10 @@
 //! 3. Crawl counters namespace per platform (`crawl.discord.*` /
 //!    `crawl.telegram.*`) without perturbing the legacy aggregate names.
 
-use chatbot_audit::{platform_breakdown, Audit, AuditJob, FleetConfig, FleetService, PlatformKind};
-use obs::{JsonRecorder, Obs};
+use chatbot_audit::{
+    platform_breakdown, Audit, AuditJob, FleetDaemon, FleetDaemonConfig, JobOutcome, PlatformKind,
+};
+use obs::{Clock, JsonRecorder, Obs};
 use sched::JobSpec;
 use std::sync::Arc;
 use store::MemBackend;
@@ -36,16 +38,25 @@ fn job(kind: PlatformKind, seed: u64, epoch: u32) -> AuditJob {
         .expect("valid job")
 }
 
-/// 2 Discord + 2 Telegram tenants × 2 epochs through one service; dump
+/// Step the daemon loop a tick at a time until nothing is queued, then
+/// take every settled outcome.
+fn settle(daemon: &FleetDaemon) -> Vec<JobOutcome> {
+    while daemon.queued() > 0 {
+        daemon.run_until(daemon.clock().now_millis() + daemon.config().tick_ms);
+    }
+    daemon.poll_outcomes()
+}
+
+/// 2 Discord + 2 Telegram tenants × 2 epochs through one daemon; dump
 /// every observable the fleet emits.
 fn fleet_dump(seed: u64, workers: usize) -> (String, String) {
     let recorder = Arc::new(JsonRecorder::new());
     let clock = netsim::VirtualClock::new();
     let obs = Obs::with_recorder(recorder.clone(), Arc::new(clock.clone()));
-    let service = FleetService::with_obs(
-        FleetConfig {
+    let daemon = FleetDaemon::with_obs(
+        FleetDaemonConfig {
             workers,
-            ..FleetConfig::default()
+            ..FleetDaemonConfig::default()
         },
         Arc::new(MemBackend::new()),
         clock,
@@ -61,14 +72,12 @@ fn fleet_dump(seed: u64, workers: usize) -> (String, String) {
     let mut dump = String::new();
     for epoch in 0..2u32 {
         for (tenant, kind) in tenants {
-            service
+            daemon
                 .submit(JobSpec::new(tenant), job(kind, seed, epoch))
                 .expect("queue has room");
-            service
-                .clock()
-                .advance(netsim::SimDuration::from_millis(25));
+            daemon.clock().advance(netsim::SimDuration::from_millis(25));
         }
-        let outcomes = service.run();
+        let outcomes = settle(&daemon);
         for outcome in &outcomes {
             let report = outcome.report.as_ref().expect("audit completes");
             assert_eq!(
@@ -124,19 +133,19 @@ fn mixed_fleet_outputs_are_worker_count_independent_for_seed_7() {
 #[test]
 fn telegram_reaudit_rides_the_warm_incremental_path() {
     let seed = 2022;
-    let service = FleetService::new(FleetConfig::default());
-    service
+    let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+    daemon
         .submit(JobSpec::new("tgram"), job(PlatformKind::Telegram, seed, 0))
         .expect("submit epoch 0");
-    let cold = service.run();
+    let cold = settle(&daemon);
     assert_eq!(cold[0].platform, PlatformKind::Telegram);
     assert_eq!(cold[0].artifact_hits, 0, "first audit has no warm pack");
     assert!(cold[0].artifact_misses as usize >= BOTS);
 
-    service
+    daemon
         .submit(JobSpec::new("tgram"), job(PlatformKind::Telegram, seed, 1))
         .expect("submit epoch 1");
-    let warm = service.run();
+    let warm = settle(&daemon);
     let outcome = &warm[0];
     assert!(
         outcome.artifact_hits > 0,
@@ -150,12 +159,15 @@ fn telegram_reaudit_rides_the_warm_incremental_path() {
     assert_eq!(delta.platform, PlatformKind::Telegram);
     assert!(!delta.is_empty(), "default drift moves something");
 
-    // Byte-identical to a cold audit of the same epoch on a fresh service.
-    let fresh = FleetService::new(FleetConfig::default());
+    // Byte-identical to a cold audit of the same epoch on a fresh daemon.
+    let fresh = FleetDaemon::new(FleetDaemonConfig::default());
     fresh
         .submit(JobSpec::new("other"), job(PlatformKind::Telegram, seed, 1))
         .expect("submit cold epoch 1");
-    let cold_epoch1 = fresh.run().remove(0).report.expect("cold audit completes");
+    let cold_epoch1 = settle(&fresh)
+        .remove(0)
+        .report
+        .expect("cold audit completes");
     let warm_report = outcome.report.as_ref().expect("warm audit completes");
     assert_eq!(
         serde_json::to_string(warm_report).unwrap(),
@@ -168,19 +180,19 @@ fn telegram_reaudit_rides_the_warm_incremental_path() {
 fn crawl_counters_namespace_per_platform_across_one_fleet() {
     let clock = netsim::VirtualClock::new();
     let obs = Obs::disabled();
-    let service = FleetService::with_obs(
-        FleetConfig::default(),
+    let daemon = FleetDaemon::with_obs(
+        FleetDaemonConfig::default(),
         Arc::new(MemBackend::new()),
         clock,
         obs,
     );
-    service
+    daemon
         .submit(JobSpec::new("disco"), job(PlatformKind::Discord, 2022, 0))
         .unwrap();
-    service
+    daemon
         .submit(JobSpec::new("tgram"), job(PlatformKind::Telegram, 2022, 0))
         .unwrap();
-    for outcome in service.run() {
+    for outcome in settle(&daemon) {
         let report = outcome.report.expect("audit completes");
         // Each job reports through its own Audit obs handle; the per-job
         // registry splits by platform while the aggregate keeps its name.

@@ -12,8 +12,8 @@
 //! 3. Admission control rejects deterministically, surfacing the typed
 //!    `ErrorKind::Saturated` with its pinned kind string.
 
-use chatbot_audit::{Audit, AuditJob, ErrorKind, FleetConfig, FleetService};
-use obs::{JsonRecorder, Obs};
+use chatbot_audit::{Audit, AuditJob, ErrorKind, FleetDaemon, FleetDaemonConfig, JobOutcome};
+use obs::{Clock, JsonRecorder, Obs};
 use sched::{JobSpec, Lane, TenantRate};
 use std::sync::Arc;
 use store::MemBackend;
@@ -34,17 +34,26 @@ fn job(seed: u64, epoch: u32) -> AuditJob {
         .expect("valid job")
 }
 
-/// Run 3 tenants × 2 epochs through one fleet service and dump every
+/// Step the daemon loop a tick at a time until nothing is queued, then
+/// take every settled outcome.
+fn settle(daemon: &FleetDaemon) -> Vec<JobOutcome> {
+    while daemon.queued() > 0 {
+        daemon.run_until(daemon.clock().now_millis() + daemon.config().tick_ms);
+    }
+    daemon.poll_outcomes()
+}
+
+/// Run 3 tenants × 2 epochs through one fleet daemon and dump every
 /// observable: reports, deltas, artifact hit counters, and the canonical
 /// `sched.*` trace.
 fn fleet_dump(seed: u64, workers: usize) -> (String, String) {
     let recorder = Arc::new(JsonRecorder::new());
     let clock = netsim::VirtualClock::new();
     let obs = Obs::with_recorder(recorder.clone(), Arc::new(clock.clone()));
-    let service = FleetService::with_obs(
-        FleetConfig {
+    let daemon = FleetDaemon::with_obs(
+        FleetDaemonConfig {
             workers,
-            ..FleetConfig::default()
+            ..FleetDaemonConfig::default()
         },
         Arc::new(MemBackend::new()),
         clock,
@@ -55,14 +64,12 @@ fn fleet_dump(seed: u64, workers: usize) -> (String, String) {
     let mut dump = String::new();
     for epoch in 0..2u32 {
         for (i, tenant) in TENANTS.iter().enumerate() {
-            service
+            daemon
                 .submit(JobSpec::new(*tenant).lane(lanes[i]), job(seed, epoch))
                 .expect("queue has room");
-            service
-                .clock()
-                .advance(netsim::SimDuration::from_millis(25));
+            daemon.clock().advance(netsim::SimDuration::from_millis(25));
         }
-        for outcome in service.run() {
+        for outcome in settle(&daemon) {
             let report = outcome.report.expect("audit completes");
             dump.push_str(&format!(
                 "tenant={} epoch={} wait={} hits={} misses={}\n",
@@ -87,8 +94,8 @@ fn fleet_dump(seed: u64, workers: usize) -> (String, String) {
 fn fleet_outputs_are_worker_count_independent_for_seed_2022() {
     let (serial_dump, serial_trace) = fleet_dump(2022, 1);
     assert!(
-        serial_trace.contains("\"name\":\"sched.drain\""),
-        "trace must contain the sched.drain span"
+        serial_trace.contains("\"name\":\"sched.tick\""),
+        "trace must contain the sched.tick span"
     );
     assert!(
         serial_trace.contains("\"name\":\"sched.job\""),
@@ -127,19 +134,19 @@ fn incremental_reaudit_reanalyzes_only_drifted_bots() {
         drifted.len()
     );
 
-    let service = FleetService::new(FleetConfig::default());
-    service
+    let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+    daemon
         .submit(JobSpec::new("acme"), job(seed, 0))
         .expect("submit epoch 0");
-    let cold = service.run();
+    let cold = settle(&daemon);
     assert_eq!(cold[0].artifact_hits, 0, "first audit has no warm pack");
     let cold_misses = cold[0].artifact_misses;
     assert!(cold_misses as usize >= BOTS, "cold run analyzes every bot");
 
-    service
+    daemon
         .submit(JobSpec::new("acme"), job(seed, 1))
         .expect("submit epoch 1");
-    let warm = service.run();
+    let warm = settle(&daemon);
     let outcome = &warm[0];
     assert_eq!(
         outcome.artifact_misses as usize,
@@ -156,12 +163,15 @@ fn incremental_reaudit_reanalyzes_only_drifted_bots() {
     assert_eq!(delta.unchanged, BOTS - drifted.len());
 
     // And the incremental report is byte-identical to a cold full audit of
-    // the same epoch on a fresh service.
-    let fresh = FleetService::new(FleetConfig::default());
+    // the same epoch on a fresh daemon.
+    let fresh = FleetDaemon::new(FleetDaemonConfig::default());
     fresh
         .submit(JobSpec::new("other"), job(seed, 1))
         .expect("submit cold epoch 1");
-    let cold_epoch1 = fresh.run().remove(0).report.expect("cold audit completes");
+    let cold_epoch1 = settle(&fresh)
+        .remove(0)
+        .report
+        .expect("cold audit completes");
     let warm_report = outcome.report.as_ref().expect("warm audit completes");
     assert_eq!(
         serde_json::to_string(warm_report).unwrap(),
@@ -173,13 +183,13 @@ fn incremental_reaudit_reanalyzes_only_drifted_bots() {
 #[test]
 fn saturation_rejects_deterministically_with_typed_kind() {
     let run_once = || {
-        let service = FleetService::new(FleetConfig {
+        let daemon = FleetDaemon::new(FleetDaemonConfig {
             queue_capacity: 2,
-            ..FleetConfig::default()
+            ..FleetDaemonConfig::default()
         });
         let mut kinds = Vec::new();
         for tenant in ["a", "b", "c", "d"] {
-            match service.submit(JobSpec::new(tenant), job(7, 0)) {
+            match daemon.submit(JobSpec::new(tenant), job(7, 0)) {
                 Ok(id) => kinds.push(format!("ok:{id}")),
                 Err(e) => {
                     assert_eq!(e.kind(), ErrorKind::Saturated);
@@ -205,14 +215,14 @@ fn saturation_rejects_deterministically_with_typed_kind() {
 
 #[test]
 fn rate_limits_reject_deterministically_on_the_virtual_clock() {
-    let service = FleetService::new(FleetConfig {
+    let daemon = FleetDaemon::new(FleetDaemonConfig {
         tenant_rate: Some(TenantRate::new(1, 2.0)),
-        ..FleetConfig::default()
+        ..FleetDaemonConfig::default()
     });
-    service
+    daemon
         .submit(JobSpec::new("acme"), job(7, 0))
         .expect("burst admits the first job");
-    let err = service.submit(JobSpec::new("acme"), job(7, 0)).unwrap_err();
+    let err = daemon.submit(JobSpec::new("acme"), job(7, 1)).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Saturated);
     assert_eq!(
         err.to_string(),
@@ -220,13 +230,13 @@ fn rate_limits_reject_deterministically_on_the_virtual_clock() {
     );
     // Another tenant is unaffected; after the advertised wait the first
     // tenant is admitted again.
-    service
+    daemon
         .submit(JobSpec::new("beta"), job(7, 0))
         .expect("distinct tenant has its own bucket");
-    service
+    daemon
         .clock()
         .advance(netsim::SimDuration::from_millis(500));
-    service
-        .submit(JobSpec::new("acme"), job(7, 0))
+    daemon
+        .submit(JobSpec::new("acme"), job(7, 1))
         .expect("token refilled on the virtual clock");
 }
