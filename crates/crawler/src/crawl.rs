@@ -14,7 +14,7 @@ use crate::incremental::{
     cache_listing, crawl_detail_cached, revalidate_listing, DetailCounters, ValidatorStore,
 };
 use crate::invite::{validate_invite, InviteStatus};
-use crate::session::ScrapeSession;
+use crate::session::{parse_body, ScrapeSession};
 use botlist::LIST_HOST;
 use htmlsim::Locator;
 use netsim::clock::SimDuration;
@@ -166,7 +166,7 @@ fn fetch_page(
 ) -> Option<(htmlsim::Document, Option<String>, u64)> {
     let url = Url::https(host, "/list").with_query("page", &page.to_string());
     let resp = session.fetch(url).ok().filter(|r| r.status.is_success())?;
-    let doc = htmlsim::parse_document(&resp.text()).ok()?;
+    let doc = parse_body(&resp).ok()?;
     let etag = resp.header("etag").map(str::to_string);
     Some((doc, etag, resp.body.len() as u64))
 }
@@ -252,7 +252,7 @@ pub(crate) fn crawl_detail(
     let etag_detail = resp.header("etag").map(str::to_string);
     let mut bytes = resp.body.len() as u64;
     let mut fetches = 1u64;
-    let Ok(doc) = htmlsim::parse_document(&resp.text()) else {
+    let Ok(doc) = parse_body(&resp) else {
         return DetailOutcome::Failed;
     };
     let Ok(scraped) = extract_bot_detail(&doc) else {
@@ -665,7 +665,7 @@ pub(crate) fn fetch_policy_meta(session: &mut ScrapeSession, website: Option<&st
     out.home_validator = resp
         .header("etag")
         .map(|t| (home_url.to_string(), t.to_string()));
-    let Ok(doc) = htmlsim::parse_document(&resp.text()) else {
+    let Ok(doc) = parse_body(&resp) else {
         return out;
     };
     let Ok(link) = Locator::id("privacy-link").find(&doc) else {
@@ -689,7 +689,7 @@ pub(crate) fn fetch_policy_meta(session: &mut ScrapeSession, website: Option<&st
     out.policy_validator = presp
         .header("etag")
         .map(|t| (policy_url.to_string(), t.to_string()));
-    let Ok(pdoc) = htmlsim::parse_document(&presp.text()) else {
+    let Ok(pdoc) = parse_body(&presp) else {
         return out;
     };
     out.policy = extract_privacy_policy(&pdoc);

@@ -7,7 +7,7 @@
 //! [`crate::extract`]; timeouts → bounded retries in the client).
 
 use crate::solver::CaptchaSolverClient;
-use htmlsim::{parse_document, Document, Locator};
+use htmlsim::{parse_document, Document, Locator, ParseError};
 use netsim::client::{ClientConfig, HttpClient};
 use netsim::clock::SimDuration;
 use netsim::http::{Request, Response, Status, Url};
@@ -189,13 +189,13 @@ impl ScrapeSession {
                 reason: format!("status {}", resp.status),
             });
         }
-        parse_document(&resp.text()).map_err(|e| NetError::Malformed {
+        parse_body(&resp).map_err(|e| NetError::Malformed {
             reason: e.to_string(),
         })
     }
 
     fn parse_captcha(resp: &Response) -> Option<(String, String)> {
-        let doc = parse_document(&resp.text()).ok()?;
+        let doc = parse_body(resp).ok()?;
         let captcha = Locator::id("captcha").find(&doc).ok()?;
         let id = captcha.attr("data-challenge-id")?.to_string();
         let question = Locator::class("question").find(&doc).ok()?.text_content();
@@ -207,6 +207,13 @@ impl ScrapeSession {
     pub fn http(&mut self) -> &mut HttpClient {
         &mut self.http
     }
+}
+
+/// Parse a response body as HTML straight from its bytes: valid UTF-8 (every
+/// page the simulated sites serve) is borrowed, not copied, and invalid
+/// sequences are replaced.
+pub(crate) fn parse_body(resp: &Response) -> Result<Document, ParseError> {
+    parse_document(&String::from_utf8_lossy(&resp.body))
 }
 
 #[cfg(test)]

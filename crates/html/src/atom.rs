@@ -27,6 +27,7 @@ static WELL_KNOWN: &[&str] = &[
     "a",
     "alt",
     "article",
+    "aside",
     "b",
     "body",
     "br",
@@ -42,7 +43,9 @@ static WELL_KNOWN: &[&str] = &[
     "data-kind",
     "data-owner",
     "data-slug",
+    "data-stars",
     "data-votes",
+    "data-week",
     "data-x",
     "disabled",
     "div",

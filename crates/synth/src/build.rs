@@ -124,11 +124,13 @@ pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig) -> Ecosyst
     let platform = Platform::new(clock.clone());
     let github = GitHubSite::new();
     github.mount(&net);
+    // Every platform's directory runs the same captcha-walled listing
+    // site, so every world needs the solver the crawler pays.
+    CaptchaSolverService::mount(&net);
 
     let telegram = match config.platform {
         PlatformKind::Discord => {
             // Discord-style install flow: a captcha-walled OAuth gate.
-            CaptchaSolverService::mount(&net);
             OAuthWebGate::new(platform.clone()).mount(&net);
             platform.set_least_privilege_delivery(config.least_privilege_delivery);
             None

@@ -13,6 +13,9 @@
 //!    to a cold audit of the same epoch.
 //! 3. Crawl counters namespace per platform (`crawl.discord.*` /
 //!    `crawl.telegram.*`) without perturbing the legacy aggregate names.
+//! 4. A Telegram audit behind the listing site's default defenses crawls
+//!    every listing, at any worker count: the directory's captcha wall
+//!    is solved exactly as Discord's is.
 
 use chatbot_audit::{
     platform_breakdown, Audit, AuditJob, FleetDaemon, FleetDaemonConfig, JobOutcome, PlatformKind,
@@ -229,4 +232,23 @@ fn crawl_counters_namespace_per_platform_across_one_fleet() {
             }
         }
     }
+}
+
+#[test]
+fn defended_telegram_audit_crawls_every_listing_at_any_worker_count() {
+    let report = |workers: usize| {
+        let report = Audit::builder()
+            .platform(PlatformKind::Telegram)
+            .scale(300)
+            .seed(2022)
+            .honeypot_sample(6)
+            .workers(workers)
+            .build()
+            .expect("valid audit")
+            .run()
+            .expect("audit completes");
+        assert_eq!(report.bots.len(), 300, "workers={workers}");
+        serde_json::to_string(&report).expect("report serializes")
+    };
+    assert_eq!(report(2), report(1), "workers=2 report diverged");
 }
