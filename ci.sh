@@ -17,6 +17,11 @@ cargo test -q -p oplog
 # workers, warm equal to cold at epoch 1, and identical adversarial outcomes
 # at 1 vs 4 workers. The JSON goes to a temp file, not BENCH_sched.json.
 cargo run --release -q -p bench --bin experiments -- --scale 60 --honeypot-sample 6 --only none --sched-bench-json "$(mktemp)" > /dev/null
+# The self-checking examples: fleet_audit asserts that compaction keeps the
+# trend views byte-identical and that a clone leaves its source chain alone;
+# resume_audit exits 1 unless a killed run resumes byte-identically.
+cargo run --release -q --example fleet_audit > /dev/null
+cargo run --release -q --example resume_audit > /dev/null
 cargo clippy --workspace --all-targets -- -D warnings
 cargo bench --workspace --no-run
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -23,7 +23,7 @@ use bench::{render_comparisons, Comparison};
 use chatbot_audit::{
     figure3_distribution, render_figure3, render_table1, render_table2, render_table3,
     table1_histogram, table2_traceability, table3_code_analysis, validate_against_truth,
-    AuditConfig, AuditPipeline, ResumableOutcome, ResumeError, StoreConfig,
+    AuditConfig, AuditError, AuditPipeline, ResumableOutcome, StoreConfig,
 };
 use obs::{JsonRecorder, MetricValue, Obs};
 use std::sync::Arc;
@@ -48,7 +48,9 @@ struct Args {
     oplog_bench_json: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Parse the command line (without the program name). A missing or
+/// unparseable value, or an unknown flag, is an error naming the flag.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         scale: 20_915,
         seed: 2022,
@@ -67,93 +69,48 @@ fn parse_args() -> Args {
         sched_bench_json: None,
         oplog_bench_json: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                args.scale = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.scale);
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.seed);
-                i += 2;
-            }
-            "--honeypot-sample" => {
-                args.honeypot_sample = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.honeypot_sample);
-                i += 2;
-            }
-            "--json" => {
-                args.json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--markdown" => {
-                args.markdown = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--only" => {
-                args.only = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--enforced" => {
-                args.enforced = true;
-                i += 1;
-            }
-            "--workers" => {
-                args.workers = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.workers);
-                i += 2;
-            }
-            "--bench-json" => {
-                args.bench_json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--store-dir" => {
-                args.store_dir = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--resume" => {
-                args.resume = true;
-                i += 1;
-            }
-            "--kill-after-frames" => {
-                args.kill_after_frames = argv.get(i + 1).and_then(|v| v.parse().ok());
-                i += 2;
-            }
-            "--store-bench-json" => {
-                args.store_bench_json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--obs-bench-json" => {
-                args.obs_bench_json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--sched-bench-json" => {
-                args.sched_bench_json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--oplog-bench-json" => {
-                args.oplog_bench_json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--scale" => args.scale = number(flag, value()?)?,
+            "--seed" => args.seed = number(flag, value()?)?,
+            "--honeypot-sample" => args.honeypot_sample = number(flag, value()?)?,
+            "--json" => args.json = Some(value()?),
+            "--markdown" => args.markdown = Some(value()?),
+            "--only" => args.only = Some(value()?),
+            "--enforced" => args.enforced = true,
+            "--workers" => args.workers = number(flag, value()?)?,
+            "--bench-json" => args.bench_json = Some(value()?),
+            "--store-dir" => args.store_dir = Some(value()?),
+            "--resume" => args.resume = true,
+            "--kill-after-frames" => args.kill_after_frames = Some(number(flag, value()?)?),
+            "--store-bench-json" => args.store_bench_json = Some(value()?),
+            "--obs-bench-json" => args.obs_bench_json = Some(value()?),
+            "--sched-bench-json" => args.sched_bench_json = Some(value()?),
+            "--oplog-bench-json" => args.oplog_bench_json = Some(value()?),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    Ok(args)
+}
+
+/// `value` of `flag` as a number.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: {value:?} is not a valid number"))
+}
+
+/// The cores this process may run on, for the bench headers.
+fn available_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 fn want(args: &Args, what: &str) -> bool {
@@ -230,9 +187,7 @@ fn registry_json(obs: &Obs) -> serde_json::Value {
 /// World construction happens outside the timer — the engine under test
 /// is the audit pipeline, not the synthesizer.
 fn parallel_bench(args: &Args, path: &str) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = available_cores();
     eprintln!(
         "parallel scaling sweep: {} listings, workers 1/2/4/8 on {cores} core{} …",
         args.scale,
@@ -351,7 +306,7 @@ fn store_bench(args: &Args, path: &str) {
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         match outcome {
             Ok(o) => (wall_ms, Ok(o)),
-            Err(ResumeError::Interrupted { frames_written }) => (wall_ms, Err(frames_written)),
+            Err(AuditError::Interrupted { frames_written }) => (wall_ms, Err(frames_written)),
             Err(other) => panic!("store bench run failed: {other}"),
         }
     };
@@ -1046,9 +1001,7 @@ fn sched_bench(args: &Args, path: &str) {
         mean(&adv_serial.flood_waits),
     );
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = available_cores();
     let mut out = serde_json::Map::new();
     out.insert("scale".into(), args.scale.into());
     out.insert("seed".into(), args.seed.into());
@@ -1335,6 +1288,7 @@ fn oplog_bench(args: &Args, path: &str) {
     );
 
     let mut out = serde_json::Map::new();
+    out.insert("available_cores".into(), available_cores().into());
     out.insert("scale".into(), args.scale.into());
     out.insert("seed".into(), args.seed.into());
     out.insert("honeypot_sample".into(), args.honeypot_sample.into());
@@ -1378,7 +1332,11 @@ fn oplog_bench(args: &Args, path: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(2);
+    });
     let scale_factor = args.scale as f64 / 20_915.0;
 
     eprintln!(
@@ -1427,7 +1385,7 @@ fn main() {
                 );
                 (report.bots, report.crawl_stats, report.honeypot)
             }
-            Err(ResumeError::Interrupted { frames_written }) => {
+            Err(AuditError::Interrupted { frames_written }) => {
                 eprintln!(
                     "interrupted after {frames_written} durable journal frames — \
                      rerun with --resume to continue from here"
@@ -1715,5 +1673,38 @@ fn main() {
 
     if let Some(path) = &args.oplog_bench_json {
         oplog_bench(&args, path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn a_valid_command_line_sets_the_flags_it_names() {
+        let args = parse("--scale 2000 --workers 2 --only none --kill-after-frames 40").unwrap();
+        assert_eq!((args.scale, args.seed, args.workers), (2000, 2022, 2));
+        assert_eq!(args.only.as_deref(), Some("none"));
+        assert_eq!(args.kill_after_frames, Some(40));
+    }
+
+    #[test]
+    fn a_bad_number_is_an_error_naming_the_flag() {
+        let err = parse("--workers abc").err().unwrap();
+        assert_eq!(err, r#"--workers: "abc" is not a valid number"#);
+        assert!(parse("--scale 2,000").is_err());
+        assert!(parse("--kill-after-frames 4O").is_err());
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error_naming_the_flag() {
+        let err = |line| parse(line).err().unwrap();
+        assert_eq!(err("--workers 2 --json"), "--json needs a value");
+        assert_eq!(err("--seed"), "--seed needs a value");
     }
 }

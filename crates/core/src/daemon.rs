@@ -18,7 +18,10 @@
 //!   one root [`Backend`] via [`ScopedBackend`] — so a tenant's epoch-N+1
 //!   audit re-analyzes only bots whose content hash changed since epoch N
 //!   — and each settled [`JobOutcome`] carries a [`DeltaReport`] against
-//!   the tenant's previous run, committed to the tenant's epoch chain;
+//!   the tenant's previous run, committed to the tenant's epoch chain.
+//!   The daemon opens each tenant's chain once, on first touch, and keeps
+//!   it open: settles extend it, and [`FleetDaemon::history`], the trend
+//!   views and compaction read it without replaying `oplog.wal`;
 //! * [`FleetDaemon::tick`] runs one scheduler round at the current
 //!   virtual time: overdue queued jobs expire with a typed
 //!   [`AuditError::Expired`] outcome, deficit-round-robin grants each
@@ -150,26 +153,55 @@ pub struct ShutdownReport {
     pub abandoned: Vec<AbandonedAudit>,
 }
 
-/// Per-tenant service state: the scoped store every audit of the tenant
-/// runs against, plus the last successful report (and its epoch) for
-/// delta computation. On first touch the baseline is restored from the
-/// tenant's persisted epoch chain, so a daemon restarted over a
-/// [`store::DiskBackend`] resumes delta chaining where it left off.
-pub(crate) struct TenantState {
-    pub(crate) backend: Arc<dyn Backend>,
-    pub(crate) last_report: Option<CanonicalReport>,
-    pub(crate) last_epoch: Option<u32>,
-}
-
-/// The epochs a tenant has used, split by lifecycle. Seeded from the
-/// tenant's persisted epoch chain on first touch, so stale-epoch
-/// rejection survives daemon restarts.
-#[derive(Default)]
-struct EpochLedger {
+/// One tenant's service state, created on first touch and kept for the
+/// daemon's lifetime. A daemon restarted over a [`store::DiskBackend`]
+/// rebuilds it from disk, so stale-epoch rejection and delta chaining
+/// resume where they left off.
+struct TenantRecord {
+    backend: Arc<dyn Backend>,
+    /// The tenant's epoch chain; `None` until [`Self::chain`] opens it.
+    chain: Option<EpochChain>,
     /// Epochs submitted and not yet settled.
     inflight: BTreeSet<u32>,
     /// Epochs with a successfully settled audit (persisted or this run's).
+    /// Not derived from the chain: appends are best effort, so an epoch
+    /// can settle without reaching it.
     committed: BTreeSet<u32>,
+    /// The last successful report and its epoch: the delta baseline.
+    last_report: Option<CanonicalReport>,
+    last_epoch: Option<u32>,
+}
+
+impl TenantRecord {
+    /// The tenant's chain, opened here and nowhere else in the daemon. The
+    /// first open seeds `committed` and, unless this run set one, the
+    /// delta baseline from the head's report blob (no audit is replayed; a
+    /// damaged blob means a cold baseline). A failed open is retried on
+    /// the next call.
+    fn chain(&mut self, obs: &Obs) -> io::Result<&mut EpochChain> {
+        let chain = match self.chain.take() {
+            Some(chain) => chain,
+            None => {
+                let chain = EpochChain::open(Arc::clone(&self.backend))?;
+                self.committed.extend(chain.epochs());
+                if let Some(head) = chain.head().filter(|_| self.last_epoch.is_none()) {
+                    self.last_report = oplog::parse_hex(&head.report_key)
+                        .and_then(|key| {
+                            ArtifactCache::open(Arc::clone(&self.backend), PACK_FILE)
+                                .ok()?
+                                .peek(&key)
+                        })
+                        .and_then(|blob| serde_json::from_slice(&blob).ok());
+                    if self.last_report.is_some() {
+                        obs.counter("oplog.restored").incr();
+                    }
+                    self.last_epoch = Some(head.epoch);
+                }
+                chain
+            }
+        };
+        Ok(self.chain.insert(chain))
+    }
 }
 
 /// What the executor hands back per completed dispatch.
@@ -191,8 +223,7 @@ pub struct FleetDaemon {
     clock: VirtualClock,
     obs: Obs,
     root: Arc<dyn Backend>,
-    tenants: Mutex<BTreeMap<String, Arc<TenantState>>>,
-    epochs: Mutex<BTreeMap<String, EpochLedger>>,
+    tenants: Mutex<BTreeMap<String, TenantRecord>>,
     settled: Mutex<Vec<JobOutcome>>,
 }
 
@@ -237,7 +268,6 @@ impl FleetDaemon {
             obs,
             root,
             tenants: Mutex::new(BTreeMap::new()),
-            epochs: Mutex::new(BTreeMap::new()),
             settled: Mutex::new(Vec::new()),
         }
     }
@@ -299,66 +329,54 @@ impl FleetDaemon {
                 )));
             }
         }
-        let tenant = spec.tenant.clone();
         let epoch = job.epoch();
-        let mut ledgers = self.epochs.lock().expect("epoch ledger poisoned");
-        let ledger = self.ledger_entry(&mut ledgers, &tenant);
-        let newest = ledger.committed.last().max(ledger.inflight.last());
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        let record = self.tenant(&mut tenants, &spec.tenant);
+        // Seeds `committed` from disk. If the chain cannot open, admission
+        // goes by this run's epochs and the next use retries the open.
+        let _ = record.chain(&self.obs);
+        let newest = record.committed.last().max(record.inflight.last());
         if let Some(&newest) = newest.filter(|&&newest| epoch <= newest) {
-            let state = if ledger.inflight.contains(&epoch) {
+            let state = if record.inflight.contains(&epoch) {
                 "is already in flight".to_string()
-            } else if ledger.committed.contains(&epoch) {
+            } else if record.committed.contains(&epoch) {
                 "has already run".to_string()
             } else {
                 format!("is older than its newest epoch {newest}")
             };
             return Err(AuditError::config(format!(
-                "tenant {tenant:?} epoch {epoch} {state}: a re-run or late \
+                "tenant {:?} epoch {epoch} {state}: a re-run or late \
                  epoch would rewind the tenant's delta baseline; submit the \
-                 next epoch (or clone the tenant for a what-if re-audit) instead"
+                 next epoch (or clone the tenant for a what-if re-audit) instead",
+                spec.tenant
             )));
         }
         let id = self.daemon.submit(spec, job)?;
-        self.ledger_entry(&mut ledgers, &tenant)
-            .inflight
-            .insert(epoch);
+        record.inflight.insert(epoch);
         Ok(JobHandle { id })
     }
 
-    /// The ledger for `tenant`, created on first touch with `committed`
-    /// seeded from the tenant's persisted epoch chain.
-    fn ledger_entry<'a>(
+    /// `tenant`'s record, created on first touch.
+    fn tenant<'a>(
         &self,
-        ledgers: &'a mut BTreeMap<String, EpochLedger>,
+        tenants: &'a mut BTreeMap<String, TenantRecord>,
         tenant: &str,
-    ) -> &'a mut EpochLedger {
-        if !ledgers.contains_key(tenant) {
-            let scoped: Arc<dyn Backend> =
-                Arc::new(ScopedBackend::new(Arc::clone(&self.root), tenant));
-            let committed = match EpochChain::open(scoped) {
-                Ok(chain) => chain.epochs().into_iter().collect(),
-                Err(_) => BTreeSet::new(),
-            };
-            ledgers.insert(
-                tenant.to_string(),
-                EpochLedger {
-                    inflight: BTreeSet::new(),
-                    committed,
-                },
-            );
-        }
-        ledgers.get_mut(tenant).expect("just inserted")
+    ) -> &'a mut TenantRecord {
+        tenants
+            .entry(tenant.to_string())
+            .or_insert_with(|| TenantRecord {
+                backend: self.scoped(tenant),
+                chain: None,
+                inflight: BTreeSet::new(),
+                committed: BTreeSet::new(),
+                last_report: None,
+                last_epoch: None,
+            })
     }
 
-    /// Record `epoch` settling for `tenant`: successful runs commit, the
-    /// rest merely release the in-flight reservation.
-    fn settle_epoch(&self, tenant: &str, epoch: u32, committed: bool) {
-        let mut ledgers = self.epochs.lock().expect("epoch ledger poisoned");
-        let ledger = self.ledger_entry(&mut ledgers, tenant);
-        ledger.inflight.remove(&epoch);
-        if committed {
-            ledger.committed.insert(epoch);
-        }
+    /// `tenant`'s slice of the root store, under `<tenant>/`.
+    fn scoped(&self, tenant: &str) -> Arc<dyn Backend> {
+        Arc::new(ScopedBackend::new(Arc::clone(&self.root), tenant))
     }
 
     /// Run one scheduler round at the current virtual time: expire
@@ -438,12 +456,11 @@ impl FleetDaemon {
     }
 
     /// Run one dispatch slice of `job` against its tenant's scoped store.
-    /// Called from worker threads; everything it touches is behind the
-    /// tenant map lock or owned by the job.
+    /// Called from worker threads, which touch no tenant record: the
+    /// record changes only when the slice's outcome settles.
     fn execute(&self, spec: &JobSpec, job: &AuditJob, ctx: ExecCtx) -> StepResult<ExecOutput> {
-        let state = self.tenant_state(&spec.tenant);
         let store = StoreConfig {
-            backend: Arc::clone(&state.backend),
+            backend: self.scoped(&spec.tenant),
             resume: ctx.resuming,
             kill_after_frames: ctx.slice_frames,
         };
@@ -461,11 +478,14 @@ impl FleetDaemon {
     /// and buffer them for [`Self::poll_outcomes`] / [`Self::resolve`].
     fn settle(&self, events: Vec<JobEvent<ExecOutput, AuditJob>>) -> Vec<JobHandle> {
         let mut handles = Vec::with_capacity(events.len());
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
         let mut settled = self.settled.lock().expect("outcome buffer poisoned");
         for event in events {
             let outcome = match event {
                 JobEvent::Expired(ex) => {
-                    self.settle_epoch(&ex.tenant, ex.payload.epoch(), false);
+                    self.tenant(&mut tenants, &ex.tenant)
+                        .inflight
+                        .remove(&ex.payload.epoch());
                     JobOutcome {
                         id: ex.id,
                         tenant: ex.tenant.clone(),
@@ -478,7 +498,9 @@ impl FleetDaemon {
                         artifact_misses: 0,
                     }
                 }
-                JobEvent::Completed(done) => self.settle_completed(done),
+                JobEvent::Completed(done) => {
+                    self.settle_completed(self.tenant(&mut tenants, &done.tenant), done)
+                }
             };
             handles.push(JobHandle { id: outcome.id });
             settled.push(outcome);
@@ -486,27 +508,27 @@ impl FleetDaemon {
         handles
     }
 
-    fn settle_completed(&self, done: CompletedJob<ExecOutput>) -> JobOutcome {
+    /// Settle a finished run: a successful one is diffed against the
+    /// baseline, committed, and becomes the new baseline.
+    fn settle_completed(
+        &self,
+        record: &mut TenantRecord,
+        done: CompletedJob<ExecOutput>,
+    ) -> JobOutcome {
         let (epoch, platform, result) = done.output;
+        record.inflight.remove(&epoch);
         let (report, delta, hits, misses) = match result {
             Ok((report, stats, referenced)) => {
-                let mut tenants = self.tenants.lock().expect("tenant map poisoned");
-                let state = tenants
-                    .get_mut(&done.tenant)
-                    .expect("tenant state exists after run");
-                let delta = state.last_report.as_ref().map(|prev| {
-                    DeltaReport::between_at(prev, &report, state.last_epoch.unwrap_or(0), epoch)
+                // Open the chain (or retry a failed open) before diffing:
+                // the first open restores the baseline left on disk.
+                let _ = record.chain(&self.obs);
+                let delta = record.last_report.as_ref().map(|prev| {
+                    DeltaReport::between_at(prev, &report, record.last_epoch.unwrap_or(0), epoch)
                 });
-                self.append_epoch(&state.backend, epoch, &report, delta.as_ref(), &referenced);
-                // Arc::make_mut would clone the backend; rebuild the
-                // state instead so the backend Arc is shared.
-                *state = Arc::new(TenantState {
-                    backend: Arc::clone(&state.backend),
-                    last_report: Some(report.clone()),
-                    last_epoch: Some(epoch),
-                });
-                drop(tenants);
-                self.settle_epoch(&done.tenant, epoch, true);
+                self.append_epoch(record, epoch, &report, delta.as_ref(), &referenced);
+                record.committed.insert(epoch);
+                record.last_report = Some(report.clone());
+                record.last_epoch = Some(epoch);
                 (
                     Ok(report),
                     delta,
@@ -514,10 +536,7 @@ impl FleetDaemon {
                     stats.artifact_misses,
                 )
             }
-            Err(e) => {
-                self.settle_epoch(&done.tenant, epoch, false);
-                (Err(e), None, 0, 0)
-            }
+            Err(e) => (Err(e), None, 0, 0),
         };
         JobOutcome {
             id: done.id,
@@ -538,21 +557,23 @@ impl FleetDaemon {
     /// outcome already stands — so failures only move `oplog.*` counters.
     /// Admission refuses epochs at or below the tenant's newest, so the
     /// head check is a backstop: an epoch that still meets a chain head at
-    /// or past it is skipped, never forked.
+    /// or past it is skipped, never forked. A failed append closes the
+    /// chain, so reopening it repairs any torn frame it left.
     fn append_epoch(
         &self,
-        backend: &Arc<dyn Backend>,
+        record: &mut TenantRecord,
         epoch: u32,
         report: &CanonicalReport,
         delta: Option<&DeltaReport>,
         referenced: &[ContentHash],
     ) {
+        let backend = Arc::clone(&record.backend);
         let appended = (|| -> io::Result<bool> {
-            let mut chain = EpochChain::open(Arc::clone(backend))?;
+            let chain = record.chain(&self.obs)?;
             if chain.is_sealed() || chain.head().map(|h| epoch <= h.epoch).unwrap_or(false) {
                 return Ok(false);
             }
-            let cache = ArtifactCache::open(Arc::clone(backend), PACK_FILE)?;
+            let cache = ArtifactCache::open(Arc::clone(&backend), PACK_FILE)?;
             let report_json = serde_json::to_vec(report).expect("reports always serialize");
             let report_key = oplog::report_blob_key(&report_json);
             cache.put(report_key, &report_json)?;
@@ -581,64 +602,24 @@ impl FleetDaemon {
         let counter = match appended {
             Ok(true) => "oplog.appended",
             Ok(false) => "oplog.append_skipped",
-            Err(_) => "oplog.append_failed",
+            Err(_) => {
+                record.chain = None;
+                "oplog.append_failed"
+            }
         };
         self.obs.counter(counter).incr();
     }
 
-    fn tenant_state(&self, tenant: &str) -> Arc<TenantState> {
-        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
-        if !tenants.contains_key(tenant) {
-            let backend: Arc<dyn Backend> =
-                Arc::new(ScopedBackend::new(Arc::clone(&self.root), tenant));
-            let (last_report, last_epoch) = self.restore_baseline(&backend);
-            tenants.insert(
-                tenant.to_string(),
-                Arc::new(TenantState {
-                    backend,
-                    last_report,
-                    last_epoch,
-                }),
-            );
-        }
-        Arc::clone(tenants.get(tenant).expect("just inserted"))
-    }
-
-    /// Rehydrate a tenant's delta baseline from its persisted chain: the
-    /// head record names the report blob by content key, so no audit is
-    /// replayed. Any damage degrades to a cold baseline, never an error.
-    fn restore_baseline(
-        &self,
-        backend: &Arc<dyn Backend>,
-    ) -> (Option<CanonicalReport>, Option<u32>) {
-        let head = match EpochChain::open(Arc::clone(backend)) {
-            Ok(chain) => match chain.head() {
-                Some(head) => head.clone(),
-                None => return (None, None),
-            },
-            Err(_) => return (None, None),
-        };
-        let report = oplog::parse_hex(&head.report_key)
-            .and_then(|key| {
-                ArtifactCache::open(Arc::clone(backend), PACK_FILE)
-                    .ok()?
-                    .peek(&key)
-            })
-            .and_then(|blob| serde_json::from_slice::<CanonicalReport>(&blob).ok());
-        if report.is_some() {
-            self.obs.counter("oplog.restored").incr();
-        }
-        (report, Some(head.epoch))
-    }
-
     /// The committed epoch records of `tenant`, genesis first. Answered
-    /// from the persisted chain — no audit is replayed. Unknown tenants
-    /// (valid id, nothing persisted) have empty histories.
+    /// from the tenant's open chain — no audit is replayed. Unknown
+    /// tenants (valid id, nothing persisted) have empty histories.
     pub fn history(&self, tenant: &str) -> Result<Vec<EpochRecord>, AuditError> {
         validate_tenant(tenant)?;
-        let state = self.tenant_state(tenant);
-        let chain = EpochChain::open(Arc::clone(&state.backend))
-            .map_err(|e| AuditError::Store(e.into()))?;
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        let chain = self
+            .tenant(&mut tenants, tenant)
+            .chain(&self.obs)
+            .map_err(store_error)?;
         Ok(chain.records().to_vec())
     }
 
@@ -650,16 +631,14 @@ impl FleetDaemon {
     }
 
     /// Fleet-wide drift curves: per-platform, per-epoch drift counters
-    /// summed across every tenant this daemon has touched.
+    /// summed across every tenant this daemon has touched — submitted to
+    /// (admitted or not), queried, cloned into, or compacted.
     pub fn fleet_trends(&self) -> Result<Vec<PlatformDrift>, AuditError> {
-        let names: Vec<String> = {
-            let tenants = self.tenants.lock().expect("tenant map poisoned");
-            tenants.keys().cloned().collect()
-        };
-        let mut histories = Vec::with_capacity(names.len());
-        for name in names {
-            let records = self.history(&name)?;
-            histories.push((name, records));
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        let mut histories = Vec::with_capacity(tenants.len());
+        for (name, record) in tenants.iter_mut() {
+            let chain = record.chain(&self.obs).map_err(store_error)?;
+            histories.push((name.clone(), chain.records().to_vec()));
         }
         Ok(oplog::fleet_drift_curves(&histories))
     }
@@ -668,38 +647,34 @@ impl FleetDaemon {
     /// head epoch — no history) into fresh tenant `dst` for a cheap
     /// what-if re-audit. Returns the clone's genesis record. Fails with a
     /// `config`-kind error when `src` has no committed epochs or `dst`
-    /// already exists. Call between ticks — never while an audit of `src`
-    /// is in flight.
+    /// has an epoch (committed, in flight, or on disk); a query or a
+    /// refused submission does not count. Call between ticks — never
+    /// while an audit of `src` is in flight.
     pub fn clone_tenant(&self, src: &str, dst: &str) -> Result<EpochRecord, AuditError> {
         validate_tenant(src)?;
         validate_tenant(dst)?;
-        if self
-            .tenants
-            .lock()
-            .expect("tenant map poisoned")
-            .contains_key(dst)
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        if tenants
+            .get(dst)
+            .is_some_and(|t| !t.committed.is_empty() || !t.inflight.is_empty())
         {
             return Err(AuditError::config(format!(
-                "tenant {dst:?} already exists; clones only materialize into \
-                 fresh workspaces"
+                "tenant {dst:?} already has a committed or in-flight epoch; \
+                 clones only materialize into fresh workspaces"
             )));
         }
-        let src_backend = Arc::clone(&self.tenant_state(src).backend);
-        let dst_backend: Arc<dyn Backend> =
-            Arc::new(ScopedBackend::new(Arc::clone(&self.root), dst));
         let genesis =
-            oplog::clone_workspace(&src_backend, &dst_backend).map_err(|e| match e.kind() {
-                io::ErrorKind::InvalidInput | io::ErrorKind::AlreadyExists => {
-                    AuditError::config(e.to_string())
+            oplog::clone_workspace(&self.scoped(src), &self.scoped(dst)).map_err(|e| {
+                match e.kind() {
+                    io::ErrorKind::InvalidInput | io::ErrorKind::AlreadyExists => {
+                        AuditError::config(e.to_string())
+                    }
+                    _ => store_error(e),
                 }
-                _ => AuditError::Store(e.into()),
             })?;
-        // A refused submission may already have opened `dst`'s epoch
-        // ledger; reseed it from the cloned chain on next touch.
-        self.epochs
-            .lock()
-            .expect("epoch ledger poisoned")
-            .remove(dst);
+        // Install `dst`'s record afresh, opened from the cloned files.
+        tenants.remove(dst);
+        let _ = self.tenant(&mut tenants, dst).chain(&self.obs);
         self.obs.counter("oplog.clones").incr();
         Ok(genesis)
     }
@@ -716,18 +691,22 @@ impl FleetDaemon {
         keep_last: usize,
     ) -> Result<CompactionOutcome, AuditError> {
         validate_tenant(tenant)?;
-        let state = self.tenant_state(tenant);
-        let chain = EpochChain::open(Arc::clone(&state.backend))
-            .map_err(|e| AuditError::Store(e.into()))?;
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        let record = self.tenant(&mut tenants, tenant);
+        let backend = Arc::clone(&record.backend);
+        let chain = record.chain(&self.obs).map_err(store_error)?;
         if chain.is_empty() {
             return Err(AuditError::config(format!(
                 "tenant {tenant:?} has no committed epochs; nothing pins the \
                  pack, so compaction would drop live artifacts"
             )));
         }
-        oplog::compact_generations(&state.backend, &chain, keep_last, &self.obs)
-            .map_err(|e| AuditError::Store(e.into()))
+        oplog::compact_generations(&backend, chain, keep_last, &self.obs).map_err(store_error)
     }
+}
+
+fn store_error(e: io::Error) -> AuditError {
+    AuditError::Store(e.into())
 }
 
 /// Digest a delta into the chain's pre-materialized trend facts. A
@@ -1148,5 +1127,86 @@ mod tests {
             })
             .unwrap_or(0);
         assert!(parked >= 1, "the slice lever must actually have fired");
+    }
+
+    /// A root backend that counts reads per file and fails the first read
+    /// of `fail_first`.
+    #[derive(Default)]
+    struct ProbeBackend {
+        inner: MemBackend,
+        reads: Mutex<BTreeMap<String, usize>>,
+        fail_first: Option<&'static str>,
+    }
+
+    impl ProbeBackend {
+        fn reads(&self, name: &str) -> usize {
+            self.reads.lock().unwrap().get(name).copied().unwrap_or(0)
+        }
+    }
+
+    impl Backend for ProbeBackend {
+        fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            *self.reads.lock().unwrap().entry(name.into()).or_default() += 1;
+            if self.fail_first == Some(name) && self.reads(name) == 1 {
+                return Err(io::Error::other("injected read failure"));
+            }
+            self.inner.read(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.append(name, bytes)
+        }
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.inner.remove(name)
+        }
+    }
+
+    const OPLOG: &str = "acme/oplog.wal";
+
+    #[test]
+    fn a_tenants_oplog_is_read_once_for_the_daemons_lifetime() {
+        let root = Arc::new(ProbeBackend::default());
+        let daemon = FleetDaemon::with_backend(FleetDaemonConfig::default(), root.clone());
+        daemon.submit(JobSpec::new("acme"), job(7, 0)).unwrap();
+        daemon.run_until(100);
+        assert_eq!(root.reads(OPLOG), 1, "opened once, on first touch");
+        daemon.trends("acme").unwrap(); // and through it `history`
+        daemon.fleet_trends().unwrap();
+        daemon.compact_tenant("acme", 1).unwrap();
+        daemon.submit(JobSpec::new("acme"), job(7, 0)).unwrap_err();
+        daemon.submit(JobSpec::new("acme"), job(7, 1)).unwrap();
+        daemon.run_until(200);
+        assert_eq!(daemon.history("acme").unwrap().len(), 2);
+        assert_eq!(root.reads(OPLOG), 1, "later uses read the open chain");
+    }
+
+    #[test]
+    fn a_failed_first_chain_open_is_retried_on_the_next_use() {
+        let root = Arc::new(ProbeBackend {
+            fail_first: Some(OPLOG),
+            ..ProbeBackend::default()
+        });
+        let daemon = FleetDaemon::with_backend(FleetDaemonConfig::default(), root.clone());
+        let h = daemon.submit(JobSpec::new("acme"), job(7, 0)).unwrap();
+        daemon.run_until(100);
+        assert!(daemon.resolve(h).unwrap().report.is_ok());
+        let history = daemon.history("acme").unwrap();
+        assert_eq!((history.len(), history[0].epoch), (1, 0));
+        assert_eq!(root.reads(OPLOG), 2, "one failed open, one retry");
+    }
+
+    #[test]
+    fn only_an_epoch_makes_a_clone_destination_taken() {
+        let daemon = FleetDaemon::new(FleetDaemonConfig::default());
+        assert!(daemon.history("fork").unwrap().is_empty());
+        daemon.submit(JobSpec::new("acme"), job(7, 0)).unwrap();
+        daemon.run_until(100);
+        let genesis = daemon.clone_tenant("acme", "fork").unwrap();
+        assert_eq!(daemon.history("fork").unwrap(), vec![genesis]);
+        daemon.submit(JobSpec::new("busy"), job(7, 0)).unwrap();
+        let err = daemon.clone_tenant("acme", "busy").unwrap_err();
+        assert!(err.to_string().contains("in-flight"), "{err}");
     }
 }

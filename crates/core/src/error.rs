@@ -1,14 +1,13 @@
 //! The unified error surface for the audit facade.
 //!
-//! The pipeline crosses five crates that each grew their own error enum —
+//! The pipeline crosses four crates that each grew their own error enum —
 //! [`PlatformError`] (discord-sim), [`NetError`] (netsim), [`StoreError`]
-//! (store), [`ResumeError`] (this crate), [`LocateError`] (htmlsim). Code
-//! driving a whole audit should not have to name all five: everything
-//! converges on [`AuditError`] via `From`, and callers that only need to
-//! branch coarsely (retry? resume? give up?) match on the stable
-//! [`AuditError::kind`] instead of the carried payloads.
+//! (store), [`LocateError`] (htmlsim). Code driving a whole audit should
+//! not have to name all four: everything converges on [`AuditError`] via
+//! `From`, and callers that only need to branch coarsely (retry? resume?
+//! give up?) match on the stable [`AuditError::kind`] instead of the
+//! carried payloads.
 
-use crate::resume::ResumeError;
 use discord_sim::PlatformError;
 use htmlsim::LocateError;
 use netsim::NetError;
@@ -214,17 +213,6 @@ impl From<LocateError> for AuditError {
     }
 }
 
-impl From<ResumeError> for AuditError {
-    fn from(e: ResumeError) -> AuditError {
-        match e {
-            ResumeError::Interrupted { frames_written } => {
-                AuditError::Interrupted { frames_written }
-            }
-            ResumeError::Store(e) => AuditError::Store(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,10 +230,6 @@ mod tests {
             (
                 LocateError::InvalidLocator { reason: "y".into() }.into(),
                 ErrorKind::Locate,
-            ),
-            (
-                ResumeError::Interrupted { frames_written: 7 }.into(),
-                ErrorKind::Interrupted,
             ),
             (
                 sched::Rejection::QueueFull { capacity: 4 }.into(),
@@ -266,21 +250,6 @@ mod tests {
         ];
         for (err, kind) in cases {
             assert_eq!(err.kind(), kind, "{err}");
-        }
-    }
-
-    #[test]
-    fn resume_store_failures_map_to_store_kind() {
-        let err: AuditError = ResumeError::Store(StoreError::Interrupted).into();
-        assert_eq!(err.kind(), ErrorKind::Store);
-    }
-
-    #[test]
-    fn interrupted_preserves_frame_count() {
-        let err: AuditError = ResumeError::Interrupted { frames_written: 42 }.into();
-        match err {
-            AuditError::Interrupted { frames_written } => assert_eq!(frames_written, 42),
-            other => panic!("wrong variant: {other}"),
         }
     }
 

@@ -64,8 +64,8 @@ pub use report::{
     CanonicalReport, RiskFlag, RiskReport,
 };
 pub use resume::{
-    run_fingerprint, ResumableOutcome, ResumeError, StoreConfig, CRAWL_UNIT_SIZE, K_ANALYSIS,
-    K_COMPLETE, K_CRAWL_UNIT, K_HONEYPOT, K_LISTING,
+    run_fingerprint, ResumableOutcome, StoreConfig, CRAWL_UNIT_SIZE, K_ANALYSIS, K_COMPLETE,
+    K_CRAWL_UNIT, K_HONEYPOT, K_LISTING,
 };
 pub use service::{platform_breakdown, AuditJob, JobOutcome, PlatformBreakdown};
 pub use stats::{

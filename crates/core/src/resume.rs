@@ -29,6 +29,7 @@
 //! that passes its CRC but does not decode is a miss, never a crash: it is
 //! counted under `store.journal.undecodable`, recomputed, and re-recorded.
 
+use crate::error::AuditError;
 use crate::pipeline::{
     trace_audited, AuditConfig, AuditPipeline, AuditReport, AuditedBot, CodeFinding,
 };
@@ -76,7 +77,7 @@ pub struct StoreConfig {
     /// artifact pack is warm either way — content addressing makes it safe.
     pub resume: bool,
     /// Arm the crash lever: allow this many journal appends, then fail the
-    /// run with [`ResumeError::Interrupted`] exactly as if the process died.
+    /// run with [`AuditError::Interrupted`] exactly as if the process died.
     pub kill_after_frames: Option<u64>,
 }
 
@@ -114,9 +115,8 @@ impl StoreConfig {
 
     /// Open the audit store for the run identified by `fingerprint`, with
     /// the crash lever armed when configured.
-    fn open(&self, fingerprint: u64) -> Result<AuditStore, ResumeError> {
-        let store = AuditStore::open(self.backend.clone(), fingerprint, self.resume)
-            .map_err(ResumeError::Store)?;
+    fn open(&self, fingerprint: u64) -> Result<AuditStore, AuditError> {
+        let store = AuditStore::open(self.backend.clone(), fingerprint, self.resume)?;
         if let Some(frames) = self.kill_after_frames {
             store.set_kill_after(frames);
         }
@@ -132,32 +132,6 @@ impl fmt::Debug for StoreConfig {
             .finish_non_exhaustive()
     }
 }
-
-/// Why a resumable run did not complete.
-#[derive(Debug)]
-pub enum ResumeError {
-    /// The armed kill switch fired mid-run (the simulated crash). Every
-    /// frame written before the crash is durable and will replay.
-    Interrupted {
-        /// Journal frames durably written before the simulated crash.
-        frames_written: u64,
-    },
-    /// The storage backend failed.
-    Store(StoreError),
-}
-
-impl fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResumeError::Interrupted { frames_written } => {
-                write!(f, "run interrupted after {frames_written} durable frames")
-            }
-            ResumeError::Store(e) => write!(f, "store failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
 
 /// A completed resumable run.
 ///
@@ -298,12 +272,12 @@ fn guild_snapshot_key(
     ])
 }
 
-fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), ResumeError> {
+fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), AuditError> {
     store.record_unit(kind, key, payload).map_err(|e| match e {
-        StoreError::Interrupted => ResumeError::Interrupted {
+        StoreError::Interrupted => AuditError::Interrupted {
             frames_written: store.stats().frames_written,
         },
-        other => ResumeError::Store(other),
+        other => AuditError::Store(other),
     })
 }
 
@@ -320,7 +294,7 @@ impl AuditPipeline {
         eco: &Ecosystem,
         store_cfg: &StoreConfig,
         world_seed: u64,
-    ) -> Result<ResumableOutcome, ResumeError> {
+    ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
         self.run_journaled(
             eco,
@@ -347,7 +321,7 @@ impl AuditPipeline {
         store_cfg: &StoreConfig,
         world_seed: u64,
         epoch: u32,
-    ) -> Result<ResumableOutcome, ResumeError> {
+    ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
         let store = store_cfg.open(fingerprint)?;
         let inc = ValidatorCache::open(store_cfg.backend.clone(), fingerprint)
@@ -386,7 +360,7 @@ impl AuditPipeline {
         &self,
         eco: &Ecosystem,
         run: Journaled<'_>,
-    ) -> Result<ResumableOutcome, ResumeError> {
+    ) -> Result<ResumableOutcome, AuditError> {
         let report = self.run_stages(eco, Some(run))?;
         let store = run.store;
         if store.lookup_unit(K_COMPLETE, 0).is_none() {
@@ -413,7 +387,7 @@ impl AuditPipeline {
         &self,
         eco: &Ecosystem,
         run: Option<Journaled<'_>>,
-    ) -> Result<AuditReport, ResumeError> {
+    ) -> Result<AuditReport, AuditError> {
         let (bots, crawl_stats) = self.static_stages(&eco.net, run)?;
         let honeypot = self.honeypot_stage(eco, run)?;
         Ok(AuditReport {
@@ -430,7 +404,7 @@ impl AuditPipeline {
         &self,
         net: &Network,
         run: Option<Journaled<'_>>,
-    ) -> Result<(Vec<AuditedBot>, CrawlStats), ResumeError> {
+    ) -> Result<(Vec<AuditedBot>, CrawlStats), AuditError> {
         let root = self.obs.span("static");
         let (crawled, stats) = self.crawl_stage(net, run, &root)?;
         if let Some(ctx) = run.and_then(|r| r.inc) {
@@ -454,7 +428,7 @@ impl AuditPipeline {
         net: &Network,
         run: Option<Journaled<'_>>,
         root: &Span,
-    ) -> Result<(Vec<EncodedBot>, CrawlStats), ResumeError> {
+    ) -> Result<(Vec<EncodedBot>, CrawlStats), AuditError> {
         let config = &self.config.crawl;
         let started = net.clock().now();
         let span = root.child("crawl");
@@ -493,7 +467,7 @@ impl AuditPipeline {
                     store.and_then(|s| self.replay::<DetailUnit>(s, K_CRAWL_UNIT, key))
                 {
                     units_span.child_keyed("unit", key).record("replayed", 1);
-                    return Ok((done, Vec::new()));
+                    return Ok::<_, AuditError>((done, Vec::new()));
                 }
                 let out = crawl_detail_unit(
                     session,
@@ -561,7 +535,7 @@ impl AuditPipeline {
         crawled: Vec<EncodedBot>,
         run: Option<Journaled<'_>>,
         root: &Span,
-    ) -> Result<Vec<AuditedBot>, ResumeError> {
+    ) -> Result<Vec<AuditedBot>, AuditError> {
         // Kernel counters are cumulative (per ontology instance / process-
         // wide for the scanner), so snapshot before and publish deltas.
         let policy_before = self.config.ontology.kernel_stats();
@@ -583,7 +557,7 @@ impl AuditPipeline {
                     }
                 };
                 trace_audited(&bot_span, &audited);
-                Ok(audited)
+                Ok::<_, AuditError>(audited)
             },
         )?;
         drop(span);
@@ -605,7 +579,7 @@ impl AuditPipeline {
         raw: Option<Vec<u8>>,
         bot_span: &Span,
         analyze: impl FnOnce(CrawledBot) -> AuditedBot,
-    ) -> Result<AuditedBot, ResumeError> {
+    ) -> Result<AuditedBot, AuditError> {
         let store = run.store;
         let journaled = store.lookup_unit(K_ANALYSIS, idx).and_then(|payload| {
             let key = ContentHash::from_bytes(&payload);
@@ -638,7 +612,7 @@ impl AuditPipeline {
                 } = analyze(bot);
                 let artifact = AnalysisArtifact { traceability, code };
                 let blob = serde_json::to_vec(&artifact).expect("artifact serializes");
-                store.artifact_put(key, &blob).map_err(ResumeError::Store)?;
+                store.artifact_put(key, &blob)?;
                 AuditedBot {
                     crawled,
                     traceability: artifact.traceability,
@@ -657,7 +631,7 @@ impl AuditPipeline {
         &self,
         eco: &Ecosystem,
         run: Option<Journaled<'_>>,
-    ) -> Result<CampaignReport, ResumeError> {
+    ) -> Result<CampaignReport, AuditError> {
         let Some(run) = run else {
             return Ok(self.run_honeypot(eco));
         };
@@ -799,7 +773,7 @@ mod tests {
         let cfg = StoreConfig::in_memory().killing_after(3);
         let err = pipeline().run_resumable(&eco, &cfg, 13).unwrap_err();
         match err {
-            ResumeError::Interrupted { frames_written } => assert_eq!(frames_written, 3),
+            AuditError::Interrupted { frames_written } => assert_eq!(frames_written, 3),
             other => panic!("expected interrupt, got {other}"),
         }
     }

@@ -11,7 +11,7 @@
 //! artifact pack. A resumed run replays the journal, skips everything that
 //! is already durable, and finishes the rest.
 
-use chatbot_audit::{AuditConfig, AuditPipeline, ResumeError, StoreConfig};
+use chatbot_audit::{AuditConfig, AuditError, AuditPipeline, StoreConfig};
 use std::sync::Arc;
 use store::MemBackend;
 use synth::{build_ecosystem, EcosystemConfig};
@@ -57,7 +57,7 @@ fn main() {
         kill_after_frames: Some(40),
     };
     match AuditPipeline::new(config()).run_resumable(&world(), &killed, SEED) {
-        Err(ResumeError::Interrupted { frames_written }) => {
+        Err(AuditError::Interrupted { frames_written }) => {
             println!("      interrupted with {frames_written} durable frames on disk\n");
         }
         other => panic!("expected an interrupt, got {other:?}"),

@@ -10,7 +10,7 @@
 //! damaged frames themselves.
 
 use botlist::LIST_HOST;
-use chatbot_audit::{AuditConfig, AuditPipeline, ResumeError, StoreConfig};
+use chatbot_audit::{AuditConfig, AuditError, AuditPipeline, StoreConfig};
 use crawler::crawl::{crawl_listing, CrawlConfig};
 use netsim::fault::{FaultPlan, FaultyBackend, StorageFaultPlan};
 use netsim::latency::LatencyModel;
@@ -182,7 +182,7 @@ fn audit_converges_to_identical_bytes_on_crash_prone_storage() {
         };
         match AuditPipeline::new(small_config()).run_resumable(&small_world(2022), &store, 2022) {
             Ok(outcome) => break outcome,
-            Err(ResumeError::Interrupted { .. }) => continue,
+            Err(AuditError::Interrupted { .. }) => continue,
             Err(other) => panic!("unexpected failure: {other}"),
         }
     };

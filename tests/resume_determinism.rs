@@ -5,7 +5,7 @@
 //! a canonical report byte-identical to a run that was never interrupted —
 //! and a fresh run over a warm artifact pack re-analyzes nothing.
 
-use chatbot_audit::{AuditConfig, AuditPipeline, ResumeError, StoreConfig};
+use chatbot_audit::{AuditConfig, AuditError, AuditPipeline, StoreConfig};
 use std::sync::Arc;
 use store::MemBackend;
 use synth::{build_ecosystem, Ecosystem, EcosystemConfig};
@@ -51,7 +51,7 @@ fn crash_and_resume(seed: u64, kill_after: u64, workers: usize) -> String {
         .run_resumable(&eco, &store, seed)
         .expect_err("armed kill switch must fire");
     match err {
-        ResumeError::Interrupted { frames_written } => assert_eq!(frames_written, kill_after),
+        AuditError::Interrupted { frames_written } => assert_eq!(frames_written, kill_after),
         other => panic!("expected interrupt, got {other}"),
     }
 
@@ -159,7 +159,7 @@ fn crash_storm_converges_to_the_same_bytes() {
         let eco = world(2022);
         match AuditPipeline::new(config(1)).run_resumable(&eco, &store, 2022) {
             Ok(outcome) => break outcome.report.canonical_json(),
-            Err(ResumeError::Interrupted { .. }) => continue,
+            Err(AuditError::Interrupted { .. }) => continue,
             Err(other) => panic!("unexpected failure: {other}"),
         }
     };
