@@ -13,10 +13,13 @@ cargo test -q --test incremental_determinism
 cargo test -q --test platform_determinism
 cargo test -q --test oplog_determinism
 cargo test -q -p oplog
-# The fleet bench at small scale: asserts byte-identical reports at 1/2/4/8
-# workers, warm equal to cold at epoch 1, and identical adversarial outcomes
-# at 1 vs 4 workers. The JSON goes to a temp file, not BENCH_sched.json.
-cargo run --release -q -p bench --bin experiments -- --scale 60 --honeypot-sample 6 --only none --sched-bench-json "$(mktemp)" > /dev/null
+# The fleet, store and oplog benches at small scale: they assert
+# byte-identical reports at 1/2/4/8 workers, warm equal to cold at epoch 1,
+# identical adversarial outcomes at 1 vs 4 workers, a warm pack, a full
+# journal replay and a crash-at-half resume on a DiskBackend, and trend
+# views unchanged by compaction and by resuming across it. The JSON goes to
+# temp files, not the committed BENCH_*.json.
+cargo run --release -q -p bench --bin experiments -- --scale 60 --honeypot-sample 6 --only none --sched-bench-json "$(mktemp)" --store-bench-json "$(mktemp)" --oplog-bench-json "$(mktemp)" > /dev/null
 # The self-checking examples: fleet_audit asserts that compaction keeps the
 # trend views byte-identical and that a clone leaves its source chain alone;
 # resume_audit exits 1 unless a killed run resumes byte-identically.

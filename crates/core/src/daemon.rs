@@ -189,7 +189,7 @@ impl TenantRecord {
                         .and_then(|key| {
                             ArtifactCache::open(Arc::clone(&self.backend), PACK_FILE)
                                 .ok()?
-                                .peek(&key)
+                                .get(&key)
                         })
                         .and_then(|blob| serde_json::from_slice(&blob).ok());
                     if self.last_report.is_some() {
@@ -682,9 +682,9 @@ impl FleetDaemon {
     /// Generational pack compaction for `tenant`: drop every artifact
     /// blob not referenced by the last `keep_last` committed epochs (the
     /// head generation is always kept). Emits `store.compaction.*`
-    /// counters. Call between ticks — never while an audit of the tenant
-    /// is in flight, since blobs of an uncommitted epoch are not yet in
-    /// the chain's keep-set.
+    /// counters. Fails with a `config`-kind error while the tenant has an
+    /// epoch in flight (queued or parked), since blobs of an uncommitted
+    /// epoch are not yet in the chain's keep-set.
     pub fn compact_tenant(
         &self,
         tenant: &str,
@@ -693,6 +693,12 @@ impl FleetDaemon {
         validate_tenant(tenant)?;
         let mut tenants = self.tenants.lock().expect("tenant map poisoned");
         let record = self.tenant(&mut tenants, tenant);
+        if let Some(epoch) = record.inflight.first() {
+            return Err(AuditError::config(format!(
+                "tenant {tenant:?} has epoch {epoch} in flight; compaction \
+                 would drop the blobs its audit wrote but no epoch pins yet"
+            )));
+        }
         let backend = Arc::clone(&record.backend);
         let chain = record.chain(&self.obs).map_err(store_error)?;
         if chain.is_empty() {
@@ -1195,6 +1201,38 @@ mod tests {
         let history = daemon.history("acme").unwrap();
         assert_eq!((history.len(), history[0].epoch), (1, 0));
         assert_eq!(root.reads(OPLOG), 2, "one failed open, one retry");
+    }
+
+    #[test]
+    fn compaction_refuses_a_tenant_with_an_epoch_in_flight() {
+        let daemon = FleetDaemon::new(FleetDaemonConfig {
+            batch_slice_frames: Some(4),
+            ..FleetDaemonConfig::default()
+        });
+        daemon.submit(JobSpec::new("acme"), job(2022, 0)).unwrap();
+        daemon.run_until(100);
+        let h = daemon
+            .submit(JobSpec::new("acme").lane(Lane::Batch), job(2022, 1))
+            .unwrap();
+        let refused = |daemon: &FleetDaemon| {
+            let err = daemon.compact_tenant("acme", 1).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Config);
+            assert!(err.to_string().contains("epoch 1 in flight"), "{err}");
+        };
+        refused(&daemon); // queued
+        let mut parked = 0;
+        for _ in 0..60 {
+            daemon.tick();
+            if daemon.queued() == 0 {
+                break;
+            }
+            refused(&daemon); // parked at a slice boundary
+            parked += 1;
+            daemon.clock().advance(SimDuration::from_millis(10));
+        }
+        assert!(parked >= 1, "the batch audit must have parked");
+        assert!(daemon.resolve(h).unwrap().report.is_ok());
+        daemon.compact_tenant("acme", 1).unwrap();
     }
 
     #[test]

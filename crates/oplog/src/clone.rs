@@ -11,7 +11,7 @@
 use std::io;
 use std::sync::Arc;
 
-use store::{ArtifactCache, Backend, PACK_FILE, VALIDATOR_FILE};
+use store::{Backend, Journal, PACK_FILE, VALIDATOR_FILE};
 
 use crate::chain::{EpochChain, OPLOG_FILE};
 use crate::hexhash;
@@ -50,9 +50,9 @@ pub fn clone_workspace(src: &Arc<dyn Backend>, dst: &Arc<dyn Backend>) -> io::Re
             dst.write_atomic(file, &bytes)?;
         }
     }
-    // Re-derive the pack through a replay so a torn source pack is
-    // repaired in the clone exactly as it would be on the source.
-    ArtifactCache::open(Arc::clone(dst), PACK_FILE)?;
+    // Replay the copied pack so a torn source pack is repaired in the
+    // clone exactly as it would be on the source.
+    Journal::open(Arc::clone(dst), PACK_FILE)?;
     let genesis = EpochRecord {
         epoch: head.epoch,
         prev_epoch: None,
@@ -73,7 +73,7 @@ pub fn clone_workspace(src: &Arc<dyn Backend>, dst: &Arc<dyn Backend>) -> io::Re
 mod tests {
     use super::*;
     use crate::record::tests::sample_record;
-    use store::{ContentHash, MemBackend};
+    use store::{ArtifactCache, ContentHash, MemBackend};
 
     fn mem() -> Arc<dyn Backend> {
         Arc::new(MemBackend::new())

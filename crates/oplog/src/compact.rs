@@ -6,10 +6,11 @@
 //! epochs reference, so compaction is a pure policy decision here plus the
 //! already-crash-safe [`ArtifactCache::compact`] rebuild: the keep-set is
 //! computed from [`EpochChain::live_keys`], the pack is rewritten in one
-//! atomic replace, and a crash at any point leaves either the old or the
-//! new generation fully intact (the fault test in this module pins both
-//! arms). Determinism is pinned too: the rebuilt pack is a sorted fold of
-//! the kept blobs, so identical chains + packs compact to identical bytes.
+//! atomic [`store::Journal::replace`], and a crash at any point leaves
+//! either the old or the new generation fully intact (the fault test in
+//! this module pins both arms). Determinism is pinned too: the rebuilt
+//! pack is a sorted fold of the kept blobs, so identical chains + packs
+//! compact to identical bytes.
 
 use std::io;
 use std::sync::Arc;
@@ -169,9 +170,9 @@ mod tests {
         // unshared keys did not.
         let cache = ArtifactCache::open(Arc::clone(&backend), PACK_FILE).unwrap();
         for key in chain.live_keys(2) {
-            assert!(cache.peek(&key).is_some(), "live key {key} must survive");
+            assert!(cache.get(&key).is_some(), "live key {key} must survive");
         }
-        assert!(cache.peek(&ContentHash::of(b"orphan-1")).is_none());
+        assert!(cache.get(&ContentHash::of(b"orphan-1")).is_none());
     }
 
     #[test]
@@ -215,7 +216,7 @@ mod tests {
             // a valid pack and retrying converges on the new generation.
             let cache = ArtifactCache::open(Arc::clone(&backend), PACK_FILE).unwrap();
             for key in chain.live_keys(2) {
-                assert!(cache.peek(&key).is_some());
+                assert!(cache.get(&key).is_some());
             }
             drop(cache);
             compact_generations(&backend, &chain, 2, &Obs::disabled()).unwrap();

@@ -6,19 +6,20 @@
 //! maps to the same address, so a re-run over an unchanged population
 //! resolves every analysis with a cache hit and performs zero re-analysis.
 //!
-//! On disk the cache is one append-only pack file of checksummed frames
-//! (`[16-byte address][blob]` payloads), replayed into an in-memory index
-//! at open. Appends survive crashes the same way the journal does — the
-//! longest valid prefix wins — and [`ArtifactCache::compact`] rewrites the
-//! pack atomically keeping only a live set, which is how snapshots drop
-//! artifacts orphaned by config changes or superseded runs.
+//! On disk the cache is one pack file of `[16-byte address][blob]` frames
+//! kept by a [`Journal`], replayed into an in-memory index at open. The
+//! journal repairs a torn pack to its longest valid prefix and appends
+//! each new blob; [`ArtifactCache::compact`] rewrites the pack through
+//! [`Journal::replace`] keeping only a live set, which is how snapshots
+//! drop artifacts orphaned by config changes or superseded runs. The cache
+//! keeps no counters: [`crate::AuditStore`] counts a run's hits and misses.
 
 use crate::backend::Backend;
-use crate::frame::{decode_all, Frame, StopReason};
+use crate::frame::Frame;
 use crate::hash::ContentHash;
+use crate::journal::Journal;
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Frame kind used inside pack files (distinct namespace from the journal,
@@ -36,23 +37,24 @@ pub struct CacheSnapshot {
 
 /// A shared, append-only blob store addressed by content hash.
 pub struct ArtifactCache {
-    backend: Arc<dyn Backend>,
-    file: String,
+    journal: Journal,
     index: Mutex<BTreeMap<ContentHash, Vec<u8>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+}
+
+/// The pack frame holding `blob` at `hash`.
+fn artifact_frame(hash: &ContentHash, blob: &[u8]) -> Frame {
+    let mut payload = Vec::with_capacity(16 + blob.len());
+    payload.extend_from_slice(&hash.0);
+    payload.extend_from_slice(blob);
+    Frame::new(K_ARTIFACT, hash.short(), payload)
 }
 
 impl ArtifactCache {
     /// Open (replaying and, when damaged, repairing) the pack at `file`.
     pub fn open(backend: Arc<dyn Backend>, file: &str) -> io::Result<ArtifactCache> {
-        let bytes = backend.read(file)?.unwrap_or_default();
-        let decoded = decode_all(&bytes);
-        if decoded.stop != StopReason::CleanEnd {
-            backend.write_atomic(file, &bytes[..decoded.valid_bytes])?;
-        }
+        let (journal, replay) = Journal::open(backend, file)?;
         let mut index = BTreeMap::new();
-        for frame in decoded.frames {
+        for frame in replay.frames {
             if frame.kind != K_ARTIFACT || frame.payload.len() < 16 {
                 continue; // foreign or malformed record: skip, don't fail
             }
@@ -64,34 +66,13 @@ impl ArtifactCache {
                 .or_insert_with(|| frame.payload[16..].to_vec());
         }
         Ok(ArtifactCache {
-            backend,
-            file: file.to_string(),
+            journal,
             index: Mutex::new(index),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         })
     }
 
-    /// Look up the blob at `hash`, counting a hit or miss.
+    /// Look up the blob at `hash`.
     pub fn get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
-        let found = self
-            .index
-            .lock()
-            .expect("cache index lock")
-            .get(hash)
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Look up the blob at `hash` without touching the hit/miss counters.
-    /// For side caches (e.g. honeypot guild snapshots) whose reuse is
-    /// reported on its own counter, so the artifact counters stay an exact
-    /// census of per-bot analyses.
-    pub fn peek(&self, hash: &ContentHash) -> Option<Vec<u8>> {
         self.index
             .lock()
             .expect("cache index lock")
@@ -109,13 +90,8 @@ impl ArtifactCache {
             }
             index.insert(hash, blob.to_vec());
         }
-        let mut payload = Vec::with_capacity(16 + blob.len());
-        payload.extend_from_slice(&hash.0);
-        payload.extend_from_slice(blob);
-        self.backend.append(
-            &self.file,
-            &Frame::new(K_ARTIFACT, hash.short(), payload).encode(),
-        )
+        let frame = artifact_frame(&hash, blob);
+        self.journal.append(frame.kind, frame.key, frame.payload)
     }
 
     /// Rewrite the pack keeping only `live` addresses (atomically — a crash
@@ -128,26 +104,10 @@ impl ArtifactCache {
             .filter_map(|h| index.get(h).map(|blob| (*h, blob.clone())))
             .collect();
         let dropped = index.len() - keep.len();
-        let mut pack = Vec::new();
-        for (hash, blob) in &keep {
-            let mut payload = Vec::with_capacity(16 + blob.len());
-            payload.extend_from_slice(&hash.0);
-            payload.extend_from_slice(blob);
-            pack.extend_from_slice(&Frame::new(K_ARTIFACT, hash.short(), payload).encode());
-        }
-        self.backend.write_atomic(&self.file, &pack)?;
+        self.journal
+            .replace(keep.iter().map(|(hash, blob)| artifact_frame(hash, blob)))?;
         *index = keep;
         Ok(dropped)
-    }
-
-    /// Lookups served from the index.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing (the caller computed and `put`).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Current entry count and blob volume.
@@ -170,14 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn put_get_roundtrip_and_counters() {
+    fn put_get_roundtrip() {
         let backend = Arc::new(MemBackend::new());
         let cache = open(&backend);
         let h = ContentHash::of(b"input");
         assert_eq!(cache.get(&h), None);
         cache.put(h, b"blob bytes").unwrap();
         assert_eq!(cache.get(&h).as_deref(), Some(&b"blob bytes"[..]));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The write-ahead journal: an append-only frame log with crash recovery.
+//! The frame log under every store file.
 //!
-//! Every completed pipeline unit becomes one [`Frame`] appended to a single
-//! backend file. Opening the journal replays the longest valid frame prefix
-//! (torn tails and flipped bits are detected by the frame checksums) and,
-//! when the file carries damage, truncates it back to that prefix with one
-//! atomic rewrite — so the next append lands after known-good bytes instead
-//! of burying new frames behind garbage that replay would never reach.
+//! The pipeline's unit journal, the artifact pack, the validator cache and
+//! the epoch chain are all append-only logs of [`Frame`]s, and [`Journal`]
+//! is the only code that reads, repairs, appends to or rewrites them.
+//! Opening a journal replays the longest valid frame prefix (torn tails and
+//! flipped bits are detected by the frame checksums) and, when the file
+//! carries damage, truncates it back to that prefix with one atomic rewrite
+//! — so the next append lands after known-good bytes instead of burying new
+//! frames behind garbage that replay would never reach.
 
 use crate::backend::Backend;
 use crate::frame::{decode_all, Frame, StopReason};
@@ -23,6 +25,17 @@ pub struct Replay {
     /// True when damage (torn tail or corruption) was found and the file
     /// was truncated back to the valid prefix.
     pub repaired: bool,
+}
+
+/// What [`Journal::open_as`] kept of the file.
+#[derive(Debug, Clone)]
+pub struct Kept {
+    /// The resumed log's frames, header first; empty when the file started
+    /// over.
+    pub frames: Vec<Frame>,
+    /// True when a resuming open started over and dropped valid frames of
+    /// another identity.
+    pub discarded: bool,
 }
 
 /// An append-only, checksummed frame log over one backend file.
@@ -62,13 +75,43 @@ impl Journal {
         Ok((journal, replay))
     }
 
-    /// Open `file` after discarding any previous contents — a fresh run
-    /// that keeps no frames (the artifact cache lives in its own file and
-    /// survives).
-    pub fn open_fresh(backend: Arc<dyn Backend>, file: &str) -> io::Result<Journal> {
+    /// Open `file` as the log of one run identity, which a fresh log's
+    /// first frame, `header`, carries: its kind and the first eight bytes
+    /// of its payload (the caller's fingerprint).
+    ///
+    /// With `resume`, a file whose first frame has that kind and
+    /// fingerprint keeps its frames. Any other file — foreign, empty, or
+    /// absent — starts over holding only `header`. Without `resume` the
+    /// file starts over without its old contents ever being read.
+    pub fn open_as(
+        backend: Arc<dyn Backend>,
+        file: &str,
+        header: Frame,
+        resume: bool,
+    ) -> io::Result<(Journal, Kept)> {
+        let mut discarded = false;
+        if resume {
+            let (journal, replay) = Journal::open(Arc::clone(&backend), file)?;
+            let ours = replay.frames.first().is_some_and(|first| {
+                first.kind == header.kind && first.payload.get(..8) == header.payload.get(..8)
+            });
+            if ours {
+                let kept = Kept {
+                    frames: replay.frames,
+                    discarded,
+                };
+                return Ok((journal, kept));
+            }
+            discarded = !replay.frames.is_empty();
+        }
         backend.write_atomic(file, &[])?;
         let (journal, _) = Journal::open(backend, file)?;
-        Ok(journal)
+        journal.append(header.kind, header.key, header.payload)?;
+        let kept = Kept {
+            frames: Vec::new(),
+            discarded,
+        };
+        Ok((journal, kept))
     }
 
     /// Append one frame durably.
@@ -78,6 +121,17 @@ impl Journal {
         self.backend.append(&self.file, &frame.encode())?;
         self.frames_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Atomically replace the whole file with `frames`: after a crash it
+    /// holds either its old frames or exactly these, never a mix.
+    pub fn replace(&self, frames: impl IntoIterator<Item = Frame>) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            bytes.extend_from_slice(&frame.encode());
+        }
+        let _guard = self.append_lock.lock().expect("journal append lock");
+        self.backend.write_atomic(&self.file, &bytes)
     }
 
     /// Frames appended through this handle (not counting replayed ones).
@@ -138,14 +192,116 @@ mod tests {
         assert!(!replay.repaired);
     }
 
+    /// Logs every call as `(operation, bytes moved)` over a [`MemBackend`].
+    #[derive(Default)]
+    struct LogBackend {
+        inner: MemBackend,
+        log: Mutex<Vec<(&'static str, usize)>>,
+    }
+
+    impl LogBackend {
+        fn take_log(&self) -> Vec<(&'static str, usize)> {
+            std::mem::take(&mut self.log.lock().unwrap())
+        }
+    }
+
+    impl Backend for LogBackend {
+        fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            let bytes = self.inner.read(name)?;
+            let len = bytes.as_ref().map_or(0, Vec::len);
+            self.log.lock().unwrap().push(("read", len));
+            Ok(bytes)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.log.lock().unwrap().push(("write_atomic", bytes.len()));
+            self.inner.write_atomic(name, bytes)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.log.lock().unwrap().push(("append", bytes.len()));
+            self.inner.append(name, bytes)
+        }
+        fn remove(&self, name: &str) -> io::Result<()> {
+            self.inner.remove(name)
+        }
+    }
+
     #[test]
-    fn open_fresh_discards_history() {
-        let backend = mem();
-        let (journal, _) = Journal::open(backend.clone(), "wal").unwrap();
-        journal.append(1, 1, b"old run".to_vec()).unwrap();
-        let journal = Journal::open_fresh(backend.clone(), "wal").unwrap();
-        assert_eq!(journal.frames_replayed(), 0);
-        let (_, replay) = Journal::open(backend, "wal").unwrap();
-        assert!(replay.frames.is_empty());
+    fn open_as_resumes_only_its_own_identity() {
+        let header = |kind: u16, fingerprint: u64| {
+            let mut payload = fingerprint.to_le_bytes().to_vec();
+            payload.extend_from_slice(b"tail");
+            Frame::new(kind, 0, payload)
+        };
+        let ours = header(7, 42);
+        let unit = Frame::new(9, 1, b"unit".to_vec());
+        let file =
+            |frames: &[&Frame]| -> Vec<u8> { frames.iter().flat_map(|f| f.encode()).collect() };
+        let theirs = file(&[&header(7, 41), &unit]);
+        let wrong_kind = file(&[&header(8, 42), &unit]);
+        let own_log = file(&[&ours, &unit]);
+        let fresh = ours.encoded_len();
+        // (case, old file, resume, frames kept, discarded, I/O made)
+        let start_over = |old: usize| {
+            vec![
+                ("read", old),
+                ("write_atomic", 0),
+                ("read", 0),
+                ("append", fresh),
+            ]
+        };
+        let cases = [
+            (
+                "same fingerprint",
+                own_log.clone(),
+                true,
+                vec![ours.clone(), unit.clone()],
+                false,
+                vec![("read", own_log.len())],
+            ),
+            (
+                "foreign fingerprint",
+                theirs.clone(),
+                true,
+                vec![],
+                true,
+                start_over(theirs.len()),
+            ),
+            (
+                "wrong first kind",
+                wrong_kind.clone(),
+                true,
+                vec![],
+                true,
+                start_over(wrong_kind.len()),
+            ),
+            ("empty file", vec![], true, vec![], false, start_over(0)),
+            (
+                "without resume",
+                own_log.clone(),
+                false,
+                vec![],
+                false,
+                vec![("write_atomic", 0), ("read", 0), ("append", fresh)],
+            ),
+        ];
+        for (case, old, resume, frames, discarded, io) in cases {
+            let backend = Arc::new(LogBackend::default());
+            backend.inner.poke("wal", old.clone());
+            let (journal, kept) =
+                Journal::open_as(backend.clone(), "wal", ours.clone(), resume).unwrap();
+            assert_eq!(kept.frames, frames, "{case}");
+            assert_eq!(kept.discarded, discarded, "{case}");
+            assert_eq!(backend.take_log(), io, "{case}");
+            let resumed = !frames.is_empty();
+            let expect = if resumed { old } else { file(&[&ours]) };
+            assert_eq!(
+                backend.inner.read("wal").unwrap().unwrap(),
+                expect,
+                "{case}"
+            );
+            let counts = (journal.frames_replayed(), journal.frames_written());
+            let expect = if resumed { (2, 0) } else { (0, 1) };
+            assert_eq!(counts, expect, "{case}");
+        }
     }
 }

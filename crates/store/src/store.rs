@@ -6,6 +6,8 @@
 //! replayed into the wrong world: on open, a journal whose header frame
 //! disagrees with the requested fingerprint is discarded (the artifact
 //! pack, being content-addressed, always survives and simply misses).
+//! The run's artifact hit and miss counts live here too, since every
+//! per-bot lookup goes through [`AuditStore::artifact_get`].
 //!
 //! The store also hosts the crash lever the resumability tests lean on:
 //! [`AuditStore::set_kill_after`] arms a frame budget, and the append that
@@ -14,7 +16,7 @@
 //! there, except the test harness gets to keep the handle and resume.
 
 use crate::backend::Backend;
-use crate::cache::{ArtifactCache, CacheSnapshot};
+use crate::cache::ArtifactCache;
 use crate::frame::Frame;
 use crate::hash::ContentHash;
 use crate::journal::Journal;
@@ -75,13 +77,15 @@ pub struct StoreStats {
 pub struct AuditStore {
     journal: Journal,
     artifacts: ArtifactCache,
-    fingerprint: u64,
     /// Units recovered at open, keyed by (kind, key). Later frames win so a
     /// unit re-recorded after partial corruption replays its newest copy.
     replayed: Mutex<BTreeMap<(u16, u64), Vec<u8>>>,
     /// Every artifact address this handle touched (get, peek, or put) —
     /// the liveness census longitudinal compaction keeps per epoch.
     touched: Mutex<BTreeSet<ContentHash>>,
+    /// [`Self::artifact_get`] lookups that found a blob, and that did not.
+    artifact_hits: AtomicU64,
+    artifact_misses: AtomicU64,
     /// Appends allowed before [`StoreError::Interrupted`]; `u64::MAX` = off.
     kill_after: AtomicU64,
     /// Held across the kill-switch check and the append, so concurrent
@@ -103,53 +107,24 @@ impl AuditStore {
         resume: bool,
     ) -> Result<AuditStore, StoreError> {
         let artifacts = ArtifactCache::open(backend.clone(), PACK_FILE)?;
-        let (journal, replayed) = if resume {
-            let (journal, replay) = Journal::open(backend.clone(), JOURNAL_FILE)?;
-            let compatible = replay
-                .frames
-                .first()
-                .map(|f| {
-                    f.kind == K_RUN_HEADER
-                        && f.payload.len() >= 8
-                        && u64::from_le_bytes(f.payload[..8].try_into().expect("eight bytes"))
-                            == fingerprint
-                })
-                .unwrap_or(false);
-            if compatible {
-                let mut map = BTreeMap::new();
-                for Frame { kind, key, payload } in replay.frames {
-                    map.insert((kind, key), payload);
-                }
-                (journal, map)
-            } else {
-                (Journal::open_fresh(backend, JOURNAL_FILE)?, BTreeMap::new())
-            }
-        } else {
-            (Journal::open_fresh(backend, JOURNAL_FILE)?, BTreeMap::new())
-        };
-
-        let store = AuditStore {
+        // A fresh journal starts with its header frame, so even a run
+        // killed after zero units resumes against the right identity.
+        let header = Frame::new(K_RUN_HEADER, 0, fingerprint.to_le_bytes().to_vec());
+        let (journal, kept) = Journal::open_as(backend, JOURNAL_FILE, header, resume)?;
+        let mut replayed = BTreeMap::new();
+        for Frame { kind, key, payload } in kept.frames {
+            replayed.insert((kind, key), payload);
+        }
+        Ok(AuditStore {
             journal,
             artifacts,
-            fingerprint,
             replayed: Mutex::new(replayed),
             touched: Mutex::new(BTreeSet::new()),
+            artifact_hits: AtomicU64::new(0),
+            artifact_misses: AtomicU64::new(0),
             kill_after: AtomicU64::new(u64::MAX),
             record_lock: Mutex::new(()),
-        };
-        // A fresh journal gets its header frame immediately, so even a run
-        // killed after zero units resumes against the right identity.
-        if store.lookup_unit(K_RUN_HEADER, 0).is_none() {
-            store
-                .journal
-                .append(K_RUN_HEADER, 0, fingerprint.to_le_bytes().to_vec())?;
-        }
-        Ok(store)
-    }
-
-    /// The run identity this store was opened for.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        })
     }
 
     /// The payload of a unit recovered at open (or recorded earlier in this
@@ -178,10 +153,16 @@ impl AuditStore {
         Ok(())
     }
 
-    /// Look up an analysis artifact by content address.
+    /// Look up an analysis artifact by content address, counting a hit or
+    /// a miss.
     pub fn artifact_get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
-        self.touch(hash);
-        self.artifacts.get(hash)
+        let found = self.artifact_peek(hash);
+        let counter = match found {
+            Some(_) => &self.artifact_hits,
+            None => &self.artifact_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Look up an artifact without counting a hit or miss — for side caches
@@ -190,7 +171,7 @@ impl AuditStore {
     /// exact census of per-bot analyses.
     pub fn artifact_peek(&self, hash: &ContentHash) -> Option<Vec<u8>> {
         self.touch(hash);
-        self.artifacts.peek(hash)
+        self.artifacts.get(hash)
     }
 
     /// Store an analysis artifact (idempotent, not subject to the kill
@@ -218,16 +199,6 @@ impl AuditStore {
             .collect()
     }
 
-    /// Compact the artifact pack down to `live` addresses.
-    pub fn compact_artifacts(&self, live: &[ContentHash]) -> Result<usize, StoreError> {
-        Ok(self.artifacts.compact(live)?)
-    }
-
-    /// Current artifact pack shape.
-    pub fn artifact_snapshot(&self) -> CacheSnapshot {
-        self.artifacts.snapshot()
-    }
-
     /// Allow `frames` more journal appends, then fail with
     /// [`StoreError::Interrupted`]. The budget counts appends made through
     /// this handle (the header frame of a fresh store has already spent
@@ -236,18 +207,13 @@ impl AuditStore {
         self.kill_after.store(frames, Ordering::Relaxed);
     }
 
-    /// Disarm the kill switch (the "restarted process" half of a test).
-    pub fn clear_kill(&self) {
-        self.kill_after.store(u64::MAX, Ordering::Relaxed);
-    }
-
     /// Durability counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             frames_written: self.journal.frames_written(),
             frames_replayed: self.journal.frames_replayed(),
-            artifact_hits: self.artifacts.hits(),
-            artifact_misses: self.artifacts.misses(),
+            artifact_hits: self.artifact_hits.load(Ordering::Relaxed),
+            artifact_misses: self.artifact_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -255,7 +221,6 @@ impl AuditStore {
 impl fmt::Debug for AuditStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AuditStore")
-            .field("fingerprint", &self.fingerprint)
             .field("stats", &self.stats())
             .finish()
     }
@@ -362,6 +327,20 @@ mod tests {
     }
 
     #[test]
+    fn only_artifact_get_counts_hits_and_misses() {
+        let store = AuditStore::open(mem(), 7, false).unwrap();
+        let h = ContentHash::of(b"input");
+        assert_eq!(store.artifact_get(&h), None);
+        store.artifact_put(h, b"blob").unwrap();
+        store.artifact_put(h, b"blob").unwrap();
+        assert!(store.artifact_peek(&h).is_some());
+        assert!(store.artifact_peek(&ContentHash::of(b"absent")).is_none());
+        assert_eq!(store.artifact_get(&h).as_deref(), Some(&b"blob"[..]));
+        let stats = store.stats();
+        assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 1));
+    }
+
+    #[test]
     fn referenced_keys_census_every_touched_address() {
         let backend = mem();
         let store = AuditStore::open(backend, 7, false).unwrap();
@@ -382,19 +361,5 @@ mod tests {
         let mut expected = vec![put, hit, peeked, missed];
         expected.sort();
         assert_eq!(keys, expected);
-    }
-
-    #[test]
-    fn compaction_reports_snapshot() {
-        let backend = mem();
-        let store = AuditStore::open(backend, 7, false).unwrap();
-        let live = ContentHash::of(b"live");
-        store.artifact_put(live, b"keep").unwrap();
-        store
-            .artifact_put(ContentHash::of(b"dead"), b"drop")
-            .unwrap();
-        assert_eq!(store.artifact_snapshot().entries, 2);
-        assert_eq!(store.compact_artifacts(&[live]).unwrap(), 1);
-        assert_eq!(store.artifact_snapshot().entries, 1);
     }
 }

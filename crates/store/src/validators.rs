@@ -5,10 +5,10 @@
 //! processes, which validator (ETag) each page served last time and what
 //! body that validator covered. [`ValidatorCache`] persists exactly that:
 //! a string-keyed map (URL → opaque caller bytes) journaled through the
-//! same crash-safe [`crate::journal::Journal`] machinery as the pipeline's
-//! unit log, living in its own file (`validators.wal`) next to the
-//! artifact pack so it survives fresh (non-resume) runs the way the pack
-//! does.
+//! same crash-safe [`Journal`] as the pipeline's unit log, with the same
+//! identity-checked open ([`Journal::open_as`]), living in its own file
+//! (`validators.wal`) next to the artifact pack so it survives fresh
+//! (non-resume) runs the way the pack does.
 //!
 //! The cache is *performance state, not correctness state*: a stale or
 //! missing entry only costs an extra full fetch, never a wrong report, so
@@ -25,6 +25,7 @@
 //! more pages than strictly needed, which is safe.
 
 use crate::backend::Backend;
+use crate::frame::Frame;
 use crate::hash::fnv64;
 use crate::journal::Journal;
 use std::collections::BTreeMap;
@@ -102,60 +103,33 @@ impl ValidatorCache {
     /// discarded — warming from another world's validators would only
     /// waste conditional fetches.
     pub fn open(backend: Arc<dyn Backend>, fingerprint: u64) -> io::Result<ValidatorCache> {
-        let (journal, replay) = Journal::open(backend.clone(), VALIDATOR_FILE)?;
-        let compatible = replay
-            .frames
-            .first()
-            .map(|f| {
-                f.kind == K_VALIDATOR_META
-                    && decode_meta(&f.payload).map(|(fp, _)| fp) == Some(fingerprint)
-            })
-            .unwrap_or(false);
-        if compatible {
-            let mut entries = BTreeMap::new();
-            let mut epoch = 0u32;
-            for frame in &replay.frames {
-                match frame.kind {
-                    K_VALIDATOR_META => {
-                        if let Some((_, e)) = decode_meta(&frame.payload) {
-                            epoch = e;
-                        }
+        let header = Frame::new(K_VALIDATOR_META, 0, encode_meta(fingerprint, 0));
+        let (journal, kept) = Journal::open_as(backend, VALIDATOR_FILE, header, true)?;
+        let mut entries = BTreeMap::new();
+        let mut epoch = 0u32;
+        for frame in kept.frames {
+            match frame.kind {
+                K_VALIDATOR_META => {
+                    if let Some((_, e)) = decode_meta(&frame.payload) {
+                        epoch = e;
                     }
-                    K_VALIDATOR_ENTRY => {
-                        if let Some((key, value)) = decode_entry(&frame.payload) {
-                            entries.insert(key, value);
-                        }
-                    }
-                    _ => {}
                 }
+                K_VALIDATOR_ENTRY => {
+                    if let Some((key, value)) = decode_entry(&frame.payload) {
+                        entries.insert(key, value);
+                    }
+                }
+                _ => {}
             }
-            let replayed = entries.len() as u64;
-            Ok(ValidatorCache {
-                journal,
-                entries: Mutex::new(entries),
-                fingerprint,
-                epoch: Mutex::new(epoch),
-                replayed,
-                reset: false,
-            })
-        } else {
-            let reset = !replay.frames.is_empty();
-            let journal = Journal::open_fresh(backend, VALIDATOR_FILE)?;
-            journal.append(K_VALIDATOR_META, 0, encode_meta(fingerprint, 0))?;
-            Ok(ValidatorCache {
-                journal,
-                entries: Mutex::new(BTreeMap::new()),
-                fingerprint,
-                epoch: Mutex::new(0),
-                replayed: 0,
-                reset,
-            })
         }
-    }
-
-    /// The run identity this cache serves.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        Ok(ValidatorCache {
+            journal,
+            replayed: entries.len() as u64,
+            entries: Mutex::new(entries),
+            fingerprint,
+            epoch: Mutex::new(epoch),
+            reset: kept.discarded,
+        })
     }
 
     /// The epoch the cached validators describe (0 until a crawl commits).

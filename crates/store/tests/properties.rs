@@ -5,11 +5,14 @@
 //! The central property: **decoding any corruption of a valid journal
 //! never panics and recovers exactly the longest valid frame prefix** —
 //! that is what makes crash recovery safe against torn writes, bit rot,
-//! and truncation at arbitrary byte offsets.
+//! and truncation at arbitrary byte offsets. The artifact pack and the
+//! validator cache sit on the same journal, so the truncation and bit-flip
+//! properties reopen damaged copies of those files too.
 
 use std::sync::Arc;
 use store::{
-    decode_all, AuditStore, Backend, Frame, Journal, MemBackend, StopReason, JOURNAL_FILE,
+    decode_all, ArtifactCache, AuditStore, Backend, ContentHash, Frame, Journal, MemBackend,
+    StopReason, ValidatorCache, JOURNAL_FILE, PACK_FILE, VALIDATOR_FILE,
 };
 
 /// xorshift64* — deterministic, seedable, good enough for fuzz inputs.
@@ -56,6 +59,116 @@ fn encode_all(frames: &[Frame]) -> Vec<u8> {
     buf
 }
 
+/// How a stored file is damaged at a byte offset.
+#[derive(Clone, Copy)]
+enum Damage {
+    /// Truncate the file there.
+    Cut,
+    /// Flip one bit of the byte there.
+    Flip,
+}
+
+/// Damage `backend`'s `file` at a random offset and return how many of
+/// its frames lie wholly before that offset (those must survive).
+fn damage(rng: &mut Rng, backend: &MemBackend, file: &str, how: Damage) -> usize {
+    let mut bytes = backend.read(file).unwrap().expect("file exists");
+    let frames = decode_all(&bytes).frames;
+    let at = match how {
+        Damage::Cut => {
+            let at = rng.below(bytes.len() + 1);
+            bytes.truncate(at);
+            at
+        }
+        Damage::Flip => {
+            let at = rng.below(bytes.len());
+            bytes[at] ^= 1 << rng.below(8);
+            at
+        }
+    };
+    backend.poke(file, bytes);
+    let mut end = 0;
+    frames
+        .iter()
+        .take_while(|f| {
+            end += f.encoded_len();
+            end <= at
+        })
+        .count()
+}
+
+/// A damaged pack reopens without panicking, serves exactly the blobs of
+/// its intact prefix, and replays a put made after the reopen.
+fn damaged_pack_serves_its_intact_prefix(rng: &mut Rng, how: Damage, case: usize) {
+    let backend = Arc::new(MemBackend::new());
+    let cache = ArtifactCache::open(backend.clone(), PACK_FILE).unwrap();
+    let blobs: Vec<(ContentHash, Vec<u8>)> = (0..1 + rng.below(6))
+        .map(|i| {
+            let blob = (0..rng.below(120)).map(|_| rng.next() as u8).collect();
+            (ContentHash::of(format!("{case}/{i}").as_bytes()), blob)
+        })
+        .collect();
+    for (hash, blob) in &blobs {
+        cache.put(*hash, blob).unwrap();
+    }
+    drop(cache);
+
+    let intact = damage(rng, &backend, PACK_FILE, how);
+    let cache = ArtifactCache::open(backend.clone(), PACK_FILE).unwrap();
+    for (i, (hash, blob)) in blobs.iter().enumerate() {
+        let expect = (i < intact).then(|| blob.clone());
+        assert_eq!(cache.get(hash), expect, "case {case}: blob {i} of {intact}");
+    }
+    let later = ContentHash::of(b"put after the reopen");
+    cache.put(later, b"later").unwrap();
+    drop(cache);
+    let cache = ArtifactCache::open(backend, PACK_FILE).unwrap();
+    assert_eq!(
+        cache.get(&later).as_deref(),
+        Some(&b"later"[..]),
+        "case {case}"
+    );
+    assert_eq!(cache.snapshot().entries, intact + 1, "case {case}");
+}
+
+/// A damaged validator cache reopens without panicking, serves exactly the
+/// entries of its intact prefix (none once its header frame is damaged),
+/// and replays a put made after the reopen.
+fn damaged_validators_serve_their_intact_prefix(rng: &mut Rng, how: Damage, case: usize) {
+    let backend = Arc::new(MemBackend::new());
+    let cache = ValidatorCache::open(backend.clone(), 42).unwrap();
+    let entries: Vec<(String, Vec<u8>)> = (0..1 + rng.below(6))
+        .map(|i| {
+            let value = (0..rng.below(120)).map(|_| rng.next() as u8).collect();
+            (format!("https://listing/{case}/{i}"), value)
+        })
+        .collect();
+    for (key, value) in &entries {
+        cache.put(key, value).unwrap();
+    }
+    drop(cache);
+
+    // Frame 0 is the identity header; entry i is frame i + 1.
+    let intact = damage(rng, &backend, VALIDATOR_FILE, how);
+    let cache = ValidatorCache::open(backend.clone(), 42).unwrap();
+    for (i, (key, value)) in entries.iter().enumerate() {
+        let expect = (i + 1 < intact).then(|| value.clone());
+        assert_eq!(cache.get(key), expect, "case {case}: entry {i} of {intact}");
+    }
+    cache.put("later", b"put after the reopen").unwrap();
+    drop(cache);
+    let cache = ValidatorCache::open(backend, 42).unwrap();
+    assert_eq!(
+        cache.get("later").as_deref(),
+        Some(&b"put after the reopen"[..]),
+        "case {case}"
+    );
+    assert_eq!(
+        cache.stats().entries as usize,
+        intact.saturating_sub(1) + 1,
+        "case {case}"
+    );
+}
+
 #[test]
 fn arbitrary_frames_round_trip() {
     let mut rng = Rng::new(0xfeed);
@@ -91,6 +204,11 @@ fn truncation_at_every_offset_recovers_longest_valid_prefix() {
         } else {
             assert_eq!(decoded.stop, StopReason::Truncated);
         }
+    }
+    let mut rng = Rng::new(0xcafe);
+    for case in 0..100 {
+        damaged_pack_serves_its_intact_prefix(&mut rng, Damage::Cut, case);
+        damaged_validators_serve_their_intact_prefix(&mut rng, Damage::Cut, case);
     }
 }
 
@@ -128,6 +246,11 @@ fn bit_flips_at_arbitrary_offsets_never_panic_and_keep_the_prefix() {
             decoded.valid_bytes,
             "case {case}"
         );
+    }
+    let mut rng = Rng::new(0xf1ee);
+    for case in 0..300 {
+        damaged_pack_serves_its_intact_prefix(&mut rng, Damage::Flip, case);
+        damaged_validators_serve_their_intact_prefix(&mut rng, Damage::Flip, case);
     }
 }
 
