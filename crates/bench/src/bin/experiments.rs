@@ -1001,6 +1001,63 @@ fn sched_bench(args: &Args, path: &str) {
         mean(&adv_serial.flood_waits),
     );
 
+    // Long horizon: one tenant through 16 epochs of one daemon at the
+    // default drift, over a backend that counts the bytes each epoch reads
+    // back. The daemon holds the tenant's pack and validator cache open,
+    // so from epoch 1 on no epoch may read either file.
+    const HORIZON_EPOCHS: u32 = 16;
+    eprintln!("long horizon: 1 tenant × {HORIZON_EPOCHS} epochs …");
+    let counting = Arc::new(bench::CountingBackend::default());
+    let daemon = FleetDaemon::with_backend(FleetDaemonConfig::default(), counting.clone());
+    let mut horizon = Vec::new();
+    // (wall ms, bytes read, validators.wal bytes) per epoch.
+    let mut summary = Vec::new();
+    for epoch in 0..HORIZON_EPOCHS {
+        let t0 = std::time::Instant::now();
+        daemon
+            .submit(JobSpec::new("horizon"), job(epoch))
+            .expect("submit horizon epoch");
+        let outcome = settle(&daemon).remove(0);
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert!(outcome.report.is_ok(), "horizon epoch {epoch} failed");
+        let reads = counting.take_read_bytes();
+        let read_of = |file: &str| reads.get(&format!("horizon/{file}")).copied();
+        let pack_read = read_of(store::PACK_FILE).unwrap_or(0);
+        let validator_read = read_of(store::VALIDATOR_FILE).unwrap_or(0);
+        assert!(
+            epoch == 0 || pack_read + validator_read == 0,
+            "warm epoch {epoch} read {pack_read} pack and {validator_read} validator bytes"
+        );
+        let mut row = serde_json::Map::new();
+        row.insert("epoch".into(), epoch.into());
+        row.insert(
+            "wall_ms".into(),
+            serde_json::to_value(wall_ms).expect("serializable"),
+        );
+        let read_bytes: u64 = reads.values().sum();
+        row.insert("read_bytes".into(), read_bytes.into());
+        row.insert("pack_read_bytes".into(), pack_read.into());
+        row.insert("validator_read_bytes".into(), validator_read.into());
+        row.insert("artifact_hits".into(), outcome.artifact_hits.into());
+        row.insert("artifact_misses".into(), outcome.artifact_misses.into());
+        let pack_bytes = counting.file_bytes(&format!("horizon/{}", store::PACK_FILE));
+        let validator_bytes = counting.file_bytes(&format!("horizon/{}", store::VALIDATOR_FILE));
+        row.insert("pack_bytes".into(), pack_bytes.into());
+        row.insert("validator_bytes".into(), validator_bytes.into());
+        horizon.push(row);
+        summary.push((wall_ms, read_bytes, validator_bytes));
+    }
+    let (first, last) = (summary[1], summary[summary.len() - 1]);
+    println!(
+        "long horizon: {HORIZON_EPOCHS} epochs | warm wall epoch 1 {:.1} ms, epoch {} {:.1} ms | \
+         max bytes read by a warm epoch {} | validators.wal {} bytes at the end",
+        first.0,
+        HORIZON_EPOCHS - 1,
+        last.0,
+        summary[1..].iter().map(|epoch| epoch.1).max().unwrap_or(0),
+        last.2,
+    );
+
     let cores = available_cores();
     let mut out = serde_json::Map::new();
     out.insert("scale".into(), args.scale.into());
@@ -1133,6 +1190,19 @@ fn sched_bench(args: &Args, path: &str) {
         ),
     );
     out.insert("adversarial_load".into(), adv.into());
+    let mut long = serde_json::Map::new();
+    long.insert("tenants".into(), 1.into());
+    long.insert("epochs".into(), HORIZON_EPOCHS.into());
+    long.insert("drift".into(), "default".into());
+    long.insert(
+        "warm_epochs_read_no_pack_or_validator_bytes".into(),
+        true.into(),
+    );
+    long.insert(
+        "per_epoch".into(),
+        serde_json::Value::Array(horizon.into_iter().map(Into::into).collect()),
+    );
+    out.insert("long_horizon".into(), long.into());
     std::fs::write(
         path,
         serde_json::to_string_pretty(&out).expect("serializable"),

@@ -10,6 +10,10 @@
 use chatbot_audit::{AuditConfig, AuditPipeline, AuditedBot};
 use crawler::crawl::CrawlStats;
 use honeypot::campaign::CampaignReport;
+use std::collections::BTreeMap;
+use std::io;
+use std::sync::Mutex;
+use store::{Backend, MemBackend};
 use synth::{build_ecosystem, Ecosystem, EcosystemConfig};
 
 /// A built world plus the static-stage output, shared by several benches.
@@ -115,6 +119,57 @@ pub fn render_comparisons(title: &str, rows: &[Comparison]) -> String {
     out
 }
 
+/// An in-memory store backend that counts the bytes read from each file,
+/// so a bench can show which files a run reads back.
+#[derive(Default)]
+pub struct CountingBackend {
+    inner: MemBackend,
+    read_bytes: Mutex<BTreeMap<String, u64>>,
+}
+
+impl CountingBackend {
+    /// Bytes read from each file since the last call (files read as empty
+    /// or absent are listed with 0).
+    pub fn take_read_bytes(&self) -> BTreeMap<String, u64> {
+        std::mem::take(&mut self.read_bytes.lock().expect("read counts"))
+    }
+
+    /// The current size of `name`, not counted as a read.
+    pub fn file_bytes(&self, name: &str) -> u64 {
+        self.inner
+            .read(name)
+            .ok()
+            .flatten()
+            .map_or(0, |bytes| bytes.len() as u64)
+    }
+}
+
+impl Backend for CountingBackend {
+    fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>> {
+        let bytes = self.inner.read(name)?;
+        let len = bytes.as_ref().map_or(0, Vec::len) as u64;
+        *self
+            .read_bytes
+            .lock()
+            .expect("read counts")
+            .entry(name.to_string())
+            .or_default() += len;
+        Ok(bytes)
+    }
+
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write_atomic(name, bytes)
+    }
+
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(name, bytes)
+    }
+
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +179,22 @@ mod tests {
         let w = prepare_world(80, 3);
         assert_eq!(w.bots.len(), 80);
         assert!(w.stats.pages > 0);
+    }
+
+    #[test]
+    fn counting_backend_counts_bytes_read_per_file() {
+        let backend = CountingBackend::default();
+        backend.append("a", b"four").unwrap();
+        assert_eq!(backend.file_bytes("a"), 4);
+        backend.read("a").unwrap();
+        backend.read("a").unwrap();
+        backend.read("absent").unwrap();
+        let reads = backend.take_read_bytes();
+        assert_eq!(
+            reads,
+            BTreeMap::from([("a".into(), 8), ("absent".into(), 0)])
+        );
+        assert!(backend.take_read_bytes().is_empty());
     }
 
     #[test]

@@ -13,12 +13,13 @@
 use crate::error::AuditError;
 use crate::pipeline::{AuditConfig, AuditPipeline};
 use crate::report::CanonicalReport;
-use crate::resume::StoreConfig;
+use crate::resume::{run_fingerprint, StoreConfig};
 use crate::service::AuditJob;
 use obs::Obs;
 use platform::{PlatformKind, TELEGRAM_LIST_HOST};
 use policy::KeywordOntology;
-use store::StoreStats;
+use std::sync::Arc;
+use store::{ArtifactCache, StoreStats, ValidatorCache};
 use synth::{build_ecosystem, build_ecosystem_at, DriftConfig, Ecosystem, EcosystemConfig};
 
 /// The listing host a platform's directory canonically mounts on.
@@ -131,24 +132,38 @@ impl Audit {
         Ok(outcome.report.canonical())
     }
 
+    /// The run identity a journal and validator cache of this audit carry:
+    /// seed and content-shaping configuration, epoch excluded.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        run_fingerprint(&self.config, self.eco.seed)
+    }
+
     /// Run against an explicit store, returning the store statistics
     /// alongside the report. The fleet service uses this to journal each
     /// tenant's runs into that tenant's scoped slice of a shared backend
     /// and to observe artifact-cache hit rates for incremental re-audits.
     ///
-    /// This is the conditional-fetch path: the tenant's validator cache
-    /// (journaled next to the artifact pack) plus the site's change ledger
-    /// turn an epoch-N+1 re-audit into 304 probes for everything the
-    /// ledger left alone, full fetches only for the drifted bots, and
-    /// replayed guild transcripts for every undrifted honeypot sample.
+    /// This is the conditional-fetch path over the tenant's held files:
+    /// `pack`, and `validators` for [`Self::fingerprint`] (journaled next
+    /// to the pack), plus the site's change ledger turn an epoch-N+1
+    /// re-audit into 304 probes for everything the ledger left alone, full
+    /// fetches only for the drifted bots, and replayed guild transcripts for
+    /// every undrifted honeypot sample.
     pub(crate) fn run_scoped(
         &self,
         store: &StoreConfig,
+        pack: Arc<ArtifactCache>,
+        validators: Option<Arc<ValidatorCache>>,
     ) -> Result<(CanonicalReport, StoreStats, Vec<store::ContentHash>), AuditError> {
         let eco = self.world();
-        let outcome = self
-            .pipeline()
-            .run_incremental(&eco, store, self.eco.seed, self.epoch)?;
+        let outcome = self.pipeline().run_incremental(
+            &eco,
+            store,
+            self.eco.seed,
+            self.epoch,
+            pack,
+            validators,
+        )?;
         Ok((
             outcome.report.canonical(),
             outcome.store_stats,

@@ -19,9 +19,11 @@
 //!   audit re-analyzes only bots whose content hash changed since epoch N
 //!   — and each settled [`JobOutcome`] carries a [`DeltaReport`] against
 //!   the tenant's previous run, committed to the tenant's epoch chain.
-//!   The daemon opens each tenant's chain once, on first touch, and keeps
-//!   it open: settles extend it, and [`FleetDaemon::history`], the trend
-//!   views and compaction read it without replaying `oplog.wal`;
+//!   The daemon opens each tenant's chain, artifact pack and validator
+//!   cache once, on first use, and holds them for its lifetime: every
+//!   audit slice and settle works on the held handles, and
+//!   [`FleetDaemon::history`], the trend views and compaction read the
+//!   chain without replaying `oplog.wal`;
 //! * [`FleetDaemon::tick`] runs one scheduler round at the current
 //!   virtual time: overdue queued jobs expire with a typed
 //!   [`AuditError::Expired`] outcome, deficit-round-robin grants each
@@ -58,7 +60,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::sync::{Arc, Mutex};
 use store::{
-    ArtifactCache, Backend, ContentHash, MemBackend, ScopedBackend, StoreStats, PACK_FILE,
+    ArtifactCache, Backend, ContentHash, MemBackend, ScopedBackend, StoreStats, ValidatorCache,
+    PACK_FILE,
 };
 
 /// Knobs for the always-on daemon: the scheduler trio
@@ -157,10 +160,19 @@ pub struct ShutdownReport {
 /// daemon's lifetime. A daemon restarted over a [`store::DiskBackend`]
 /// rebuilds it from disk, so stale-epoch rejection and delta chaining
 /// resume where they left off.
+///
+/// The record holds the tenant's files open. An append to a held file that
+/// fails marks the file's journal, and its next append first repairs any
+/// torn tail, so no later frame lands behind bytes a restart would stop at.
 struct TenantRecord {
     backend: Arc<dyn Backend>,
     /// The tenant's epoch chain; `None` until [`Self::chain`] opens it.
     chain: Option<EpochChain>,
+    /// The artifact pack every audit and settle of the tenant appends to;
+    /// `None` until [`FleetDaemon::held`] opens it.
+    pack: Option<Arc<ArtifactCache>>,
+    /// The validator cache, with the run fingerprint it was opened for.
+    validators: Option<(u64, Arc<ValidatorCache>)>,
     /// Epochs submitted and not yet settled.
     inflight: BTreeSet<u32>,
     /// Epochs with a successfully settled audit (persisted or this run's).
@@ -175,34 +187,50 @@ struct TenantRecord {
 impl TenantRecord {
     /// The tenant's chain, opened here and nowhere else in the daemon. The
     /// first open seeds `committed` and, unless this run set one, the
-    /// delta baseline from the head's report blob (no audit is replayed; a
-    /// damaged blob means a cold baseline). A failed open is retried on
-    /// the next call.
-    fn chain(&mut self, obs: &Obs) -> io::Result<&mut EpochChain> {
+    /// baseline epoch from the chain head; [`Self::restore_baseline`]
+    /// fetches its report when a settle first needs it. A failed open is
+    /// retried on the next call.
+    fn chain(&mut self) -> io::Result<&mut EpochChain> {
         let chain = match self.chain.take() {
             Some(chain) => chain,
             None => {
                 let chain = EpochChain::open(Arc::clone(&self.backend))?;
                 self.committed.extend(chain.epochs());
-                if let Some(head) = chain.head().filter(|_| self.last_epoch.is_none()) {
-                    self.last_report = oplog::parse_hex(&head.report_key)
-                        .and_then(|key| {
-                            ArtifactCache::open(Arc::clone(&self.backend), PACK_FILE)
-                                .ok()?
-                                .get(&key)
-                        })
-                        .and_then(|blob| serde_json::from_slice(&blob).ok());
-                    if self.last_report.is_some() {
-                        obs.counter("oplog.restored").incr();
-                    }
-                    self.last_epoch = Some(head.epoch);
+                if self.last_epoch.is_none() {
+                    self.last_epoch = chain.head().map(|head| head.epoch);
                 }
                 chain
             }
         };
         Ok(self.chain.insert(chain))
     }
+
+    /// Restore the delta baseline a restart left on disk: the chain head's
+    /// report blob, a history blob read from the held pack (no audit is
+    /// replayed). A missing or damaged blob means a cold baseline.
+    fn restore_baseline(&mut self, obs: &Obs) {
+        let key = self
+            .chain
+            .as_ref()
+            .and_then(EpochChain::head)
+            .and_then(|head| oplog::parse_hex(&head.report_key));
+        self.last_report = key
+            .zip(self.pack.as_ref())
+            .and_then(|(key, pack)| pack.get(&key))
+            .and_then(|blob| serde_json::from_slice(&blob).ok());
+        if self.last_report.is_some() {
+            obs.counter("oplog.restored").incr();
+        }
+    }
 }
+
+/// A tenant's backend and held files: its artifact pack and, when asked
+/// for, its validator cache.
+type HeldFiles = (
+    Arc<dyn Backend>,
+    Arc<ArtifactCache>,
+    Option<Arc<ValidatorCache>>,
+);
 
 /// What the executor hands back per completed dispatch.
 type ExecOutput = (
@@ -334,7 +362,7 @@ impl FleetDaemon {
         let record = self.tenant(&mut tenants, &spec.tenant);
         // Seeds `committed` from disk. If the chain cannot open, admission
         // goes by this run's epochs and the next use retries the open.
-        let _ = record.chain(&self.obs);
+        let _ = record.chain();
         let newest = record.committed.last().max(record.inflight.last());
         if let Some(&newest) = newest.filter(|&&newest| epoch <= newest) {
             let state = if record.inflight.contains(&epoch) {
@@ -367,6 +395,8 @@ impl FleetDaemon {
             .or_insert_with(|| TenantRecord {
                 backend: self.scoped(tenant),
                 chain: None,
+                pack: None,
+                validators: None,
                 inflight: BTreeSet::new(),
                 committed: BTreeSet::new(),
                 last_report: None,
@@ -377,6 +407,43 @@ impl FleetDaemon {
     /// `tenant`'s slice of the root store, under `<tenant>/`.
     fn scoped(&self, tenant: &str) -> Arc<dyn Backend> {
         Arc::new(ScopedBackend::new(Arc::clone(&self.root), tenant))
+    }
+
+    /// `tenant`'s backend, held pack and, given a run `fingerprint`, held
+    /// validator cache for it. A file not held yet — or a validator cache
+    /// held for another fingerprint — is opened here, outside the
+    /// tenant-map lock, which is taken only to clone or install a handle.
+    /// A validator cache that cannot open is `None`: the run crawls cold
+    /// and the next one retries.
+    fn held(&self, tenant: &str, fingerprint: Option<u64>) -> io::Result<HeldFiles> {
+        let (backend, pack, validators) = {
+            let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+            let record = self.tenant(&mut tenants, tenant);
+            let validators = record
+                .validators
+                .as_ref()
+                .filter(|(held, _)| Some(*held) == fingerprint)
+                .map(|(_, cache)| Arc::clone(cache));
+            (Arc::clone(&record.backend), record.pack.clone(), validators)
+        };
+        let pack = match pack {
+            Some(pack) => pack,
+            None => Arc::new(ArtifactCache::open(Arc::clone(&backend), PACK_FILE)?),
+        };
+        let validators = match (validators, fingerprint) {
+            (Some(cache), _) => Some(cache),
+            (None, Some(fingerprint)) => ValidatorCache::open(Arc::clone(&backend), fingerprint)
+                .ok()
+                .map(Arc::new),
+            (None, None) => None,
+        };
+        let mut tenants = self.tenants.lock().expect("tenant map poisoned");
+        let record = self.tenant(&mut tenants, tenant);
+        let pack = Arc::clone(record.pack.get_or_insert(pack));
+        if let (Some(cache), Some(fingerprint)) = (&validators, fingerprint) {
+            record.validators = Some((fingerprint, Arc::clone(cache)));
+        }
+        Ok((backend, pack, validators))
     }
 
     /// Run one scheduler round at the current virtual time: expire
@@ -455,22 +522,29 @@ impl FleetDaemon {
         }
     }
 
-    /// Run one dispatch slice of `job` against its tenant's scoped store.
-    /// Called from worker threads, which touch no tenant record: the
-    /// record changes only when the slice's outcome settles.
+    /// Run one dispatch slice of `job` against its tenant's scoped store
+    /// and held files. Called from worker threads, which take the tenant
+    /// map only to fetch or install held handles: the rest of the record
+    /// changes only when the slice's outcome settles.
     fn execute(&self, spec: &JobSpec, job: &AuditJob, ctx: ExecCtx) -> StepResult<ExecOutput> {
-        let store = StoreConfig {
-            backend: self.scoped(&spec.tenant),
-            resume: ctx.resuming,
-            kill_after_frames: ctx.slice_frames,
-        };
-        let result = job.audit().run_scoped(&store);
+        let audit = job.audit();
+        let result = self
+            .held(&spec.tenant, Some(audit.fingerprint()))
+            .map_err(store_error)
+            .and_then(|(backend, pack, validators)| {
+                let store = StoreConfig {
+                    backend,
+                    resume: ctx.resuming,
+                    kill_after_frames: ctx.slice_frames,
+                };
+                audit.run_scoped(&store, pack, validators)
+            });
         if ctx.slice_frames.is_some() && matches!(result, Err(AuditError::Interrupted { .. })) {
             // The slice lever fired at a frame boundary: every frame
             // written is durable, so park and resume on a later tick.
             return StepResult::Parked;
         }
-        StepResult::Done((job.epoch(), job.audit().ecosystem_config().platform, result))
+        StepResult::Done((job.epoch(), audit.ecosystem_config().platform, result))
     }
 
     /// Turn this tick's scheduler events into [`JobOutcome`]s,
@@ -520,8 +594,11 @@ impl FleetDaemon {
         let (report, delta, hits, misses) = match result {
             Ok((report, stats, referenced)) => {
                 // Open the chain (or retry a failed open) before diffing:
-                // the first open restores the baseline left on disk.
-                let _ = record.chain(&self.obs);
+                // a restart's baseline is the chain head's report.
+                let _ = record.chain();
+                if record.last_report.is_none() {
+                    record.restore_baseline(&self.obs);
+                }
                 let delta = record.last_report.as_ref().map(|prev| {
                     DeltaReport::between_at(prev, &report, record.last_epoch.unwrap_or(0), epoch)
                 });
@@ -551,14 +628,14 @@ impl FleetDaemon {
         }
     }
 
-    /// Commit one settled epoch to the tenant's chain: journal the report
-    /// and delta as content-addressed pack blobs, then append the linked
-    /// epoch record. Best-effort by design — the chain is history, the
-    /// outcome already stands — so failures only move `oplog.*` counters.
-    /// Admission refuses epochs at or below the tenant's newest, so the
-    /// head check is a backstop: an epoch that still meets a chain head at
-    /// or past it is skipped, never forked. A failed append closes the
-    /// chain, so reopening it repairs any torn frame it left.
+    /// Commit one settled epoch to the tenant's chain: put the report and
+    /// delta in the held pack as content-addressed history blobs, then
+    /// append the linked epoch record. Best-effort by design — the chain
+    /// is history, the outcome already stands — so failures only move
+    /// `oplog.*` counters, and a torn frame a failed append left is
+    /// repaired by the file's next append. Admission refuses epochs at or
+    /// below the tenant's newest, so the head check is a backstop: an epoch
+    /// that still meets a chain head at or past it is skipped, never forked.
     fn append_epoch(
         &self,
         record: &mut TenantRecord,
@@ -567,21 +644,24 @@ impl FleetDaemon {
         delta: Option<&DeltaReport>,
         referenced: &[ContentHash],
     ) {
-        let backend = Arc::clone(&record.backend);
         let appended = (|| -> io::Result<bool> {
-            let chain = record.chain(&self.obs)?;
+            // The slice that just settled opened the pack.
+            let pack = record
+                .pack
+                .clone()
+                .ok_or_else(|| io::Error::other("the tenant's artifact pack is not open"))?;
+            let chain = record.chain()?;
             if chain.is_sealed() || chain.head().map(|h| epoch <= h.epoch).unwrap_or(false) {
                 return Ok(false);
             }
-            let cache = ArtifactCache::open(Arc::clone(&backend), PACK_FILE)?;
             let report_json = serde_json::to_vec(report).expect("reports always serialize");
             let report_key = oplog::report_blob_key(&report_json);
-            cache.put(report_key, &report_json)?;
+            pack.put_history(report_key, &report_json)?;
             let delta_key = match delta {
                 Some(delta) => {
                     let delta_json = serde_json::to_vec(delta).expect("deltas always serialize");
                     let key = oplog::delta_blob_key(&delta_json);
-                    cache.put(key, &delta_json)?;
+                    pack.put_history(key, &delta_json)?;
                     Some(oplog::to_hex(&key))
                 }
                 None => None,
@@ -602,10 +682,7 @@ impl FleetDaemon {
         let counter = match appended {
             Ok(true) => "oplog.appended",
             Ok(false) => "oplog.append_skipped",
-            Err(_) => {
-                record.chain = None;
-                "oplog.append_failed"
-            }
+            Err(_) => "oplog.append_failed",
         };
         self.obs.counter(counter).incr();
     }
@@ -618,7 +695,7 @@ impl FleetDaemon {
         let mut tenants = self.tenants.lock().expect("tenant map poisoned");
         let chain = self
             .tenant(&mut tenants, tenant)
-            .chain(&self.obs)
+            .chain()
             .map_err(store_error)?;
         Ok(chain.records().to_vec())
     }
@@ -637,7 +714,7 @@ impl FleetDaemon {
         let mut tenants = self.tenants.lock().expect("tenant map poisoned");
         let mut histories = Vec::with_capacity(tenants.len());
         for (name, record) in tenants.iter_mut() {
-            let chain = record.chain(&self.obs).map_err(store_error)?;
+            let chain = record.chain().map_err(store_error)?;
             histories.push((name.clone(), chain.records().to_vec()));
         }
         Ok(oplog::fleet_drift_curves(&histories))
@@ -674,7 +751,7 @@ impl FleetDaemon {
             })?;
         // Install `dst`'s record afresh, opened from the cloned files.
         tenants.remove(dst);
-        let _ = self.tenant(&mut tenants, dst).chain(&self.obs);
+        let _ = self.tenant(&mut tenants, dst).chain();
         self.obs.counter("oplog.clones").incr();
         Ok(genesis)
     }
@@ -691,6 +768,7 @@ impl FleetDaemon {
         keep_last: usize,
     ) -> Result<CompactionOutcome, AuditError> {
         validate_tenant(tenant)?;
+        let (_, pack, _) = self.held(tenant, None).map_err(store_error)?;
         let mut tenants = self.tenants.lock().expect("tenant map poisoned");
         let record = self.tenant(&mut tenants, tenant);
         if let Some(epoch) = record.inflight.first() {
@@ -699,15 +777,14 @@ impl FleetDaemon {
                  would drop the blobs its audit wrote but no epoch pins yet"
             )));
         }
-        let backend = Arc::clone(&record.backend);
-        let chain = record.chain(&self.obs).map_err(store_error)?;
+        let chain = record.chain().map_err(store_error)?;
         if chain.is_empty() {
             return Err(AuditError::config(format!(
                 "tenant {tenant:?} has no committed epochs; nothing pins the \
                  pack, so compaction would drop live artifacts"
             )));
         }
-        oplog::compact_generations(&backend, chain, keep_last, &self.obs).map_err(store_error)
+        oplog::compact_generations(&pack, chain, keep_last, &self.obs).map_err(store_error)
     }
 }
 
@@ -1135,13 +1212,15 @@ mod tests {
         assert!(parked >= 1, "the slice lever must actually have fired");
     }
 
-    /// A root backend that counts reads per file and fails the first read
-    /// of `fail_first`.
+    /// A root backend that counts reads per file, fails the first read of
+    /// `fail_first`, and tears the next append to the file `tear` names:
+    /// half its bytes land, then the append fails.
     #[derive(Default)]
     struct ProbeBackend {
         inner: MemBackend,
         reads: Mutex<BTreeMap<String, usize>>,
         fail_first: Option<&'static str>,
+        tear: Mutex<Option<&'static str>>,
     }
 
     impl ProbeBackend {
@@ -1162,6 +1241,12 @@ mod tests {
             self.inner.write_atomic(name, bytes)
         }
         fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            let mut tear = self.tear.lock().unwrap();
+            if *tear == Some(name) {
+                *tear = None;
+                self.inner.append(name, &bytes[..bytes.len() / 2])?;
+                return Err(io::Error::other("injected torn append"));
+            }
             self.inner.append(name, bytes)
         }
         fn remove(&self, name: &str) -> io::Result<()> {
@@ -1170,6 +1255,8 @@ mod tests {
     }
 
     const OPLOG: &str = "acme/oplog.wal";
+    const PACK: &str = "acme/artifacts.pack";
+    const VALIDATORS: &str = "acme/validators.wal";
 
     #[test]
     fn a_tenants_oplog_is_read_once_for_the_daemons_lifetime() {
@@ -1186,6 +1273,110 @@ mod tests {
         daemon.run_until(200);
         assert_eq!(daemon.history("acme").unwrap().len(), 2);
         assert_eq!(root.reads(OPLOG), 1, "later uses read the open chain");
+    }
+
+    #[test]
+    fn a_tenants_pack_and_validators_are_read_once_for_the_daemons_lifetime() {
+        let root = Arc::new(ProbeBackend::default());
+        let daemon = FleetDaemon::with_backend(
+            FleetDaemonConfig {
+                batch_slice_frames: Some(4),
+                ..FleetDaemonConfig::default()
+            },
+            root.clone(),
+        );
+        let reads = || (root.reads(PACK), root.reads(VALIDATORS));
+        daemon.submit(JobSpec::new("acme"), job(2022, 0)).unwrap();
+        daemon.run_until(100);
+        assert_eq!(reads(), (1, 1), "opened once, by the first slice");
+        let h = daemon
+            .submit(JobSpec::new("acme").lane(Lane::Batch), job(2022, 1))
+            .unwrap();
+        daemon.run_until(700);
+        assert!(daemon.resolve(h).unwrap().report.is_ok());
+        assert!(daemon.obs().counter_value("sched.parked") >= 1, "it parked");
+        daemon.trends("acme").unwrap(); // and through it `history`
+        daemon.fleet_trends().unwrap();
+        daemon
+            .submit(JobSpec::new("acme"), job(2022, 1))
+            .unwrap_err();
+        assert_eq!(reads(), (1, 1), "resumed slices and settles hold them");
+        // Compaction reads the live history blobs — this epoch's report
+        // and delta — with one scan of the pack, and reopens nothing.
+        daemon.compact_tenant("acme", 1).unwrap();
+        assert_eq!(reads(), (2, 1));
+        daemon.submit(JobSpec::new("acme"), job(2022, 2)).unwrap();
+        daemon.run_until(800);
+        assert_eq!(daemon.history("acme").unwrap().len(), 3);
+        assert_eq!(reads(), (2, 1), "the compacted pack stays held");
+    }
+
+    #[test]
+    fn a_held_validator_cache_counts_its_replay_once() {
+        let root: Arc<dyn Backend> = Arc::new(MemBackend::new());
+        let first = FleetDaemon::with_backend(FleetDaemonConfig::default(), Arc::clone(&root));
+        first.submit(JobSpec::new("acme"), job(2022, 0)).unwrap();
+        first.run_until(100);
+        drop(first);
+
+        // The restarted daemon's first run replays the cache from disk;
+        // the next run reuses the held cache and replays nothing.
+        let obs = Obs::disabled();
+        let daemon = FleetDaemon::with_obs(
+            FleetDaemonConfig::default(),
+            root,
+            VirtualClock::new(),
+            obs.clone(),
+        );
+        let mut replayed = Vec::new();
+        for epoch in 1..3 {
+            let audit = Audit::builder()
+                .scale(30)
+                .seed(2022)
+                .honeypot_sample(4)
+                .site_defenses(false)
+                .drift(synth::DriftConfig::default())
+                .epoch(epoch)
+                .obs(obs.clone())
+                .into_job()
+                .unwrap();
+            daemon.submit(JobSpec::new("acme"), audit).unwrap();
+            daemon.run_until(100 * u64::from(epoch + 1));
+            replayed.push(obs.counter_value("store.validators.replayed"));
+        }
+        assert!(replayed[0] > 0, "the restart replayed the cache");
+        assert_eq!(replayed[1], replayed[0], "the held cache counts it once");
+    }
+
+    #[test]
+    fn a_torn_pack_append_is_repaired_before_the_next_one() {
+        let root = Arc::new(ProbeBackend::default());
+        let daemon = FleetDaemon::with_backend(FleetDaemonConfig::default(), root.clone());
+        daemon.submit(JobSpec::new("acme"), job(2022, 0)).unwrap();
+        daemon.run_until(100);
+        *root.tear.lock().unwrap() = Some(PACK);
+        let torn = daemon.submit(JobSpec::new("acme"), job(2022, 1)).unwrap();
+        daemon.run_until(200);
+        assert!(root.tear.lock().unwrap().is_none(), "a pack append tore");
+        // The tear failed epoch 1's audit on an analysis put.
+        assert!(daemon.resolve(torn).unwrap().report.is_err());
+        daemon.submit(JobSpec::new("acme"), job(2022, 2)).unwrap();
+        daemon.run_until(300);
+        let later = daemon.history("acme").unwrap().pop().unwrap();
+        assert_eq!(later.epoch, 2);
+        drop(daemon);
+
+        // A restart replays every blob epoch 2 appended behind the tear.
+        let scoped: Arc<dyn Backend> = Arc::new(ScopedBackend::new(root.clone(), "acme"));
+        let pack = ArtifactCache::open(scoped, PACK_FILE).unwrap();
+        for key in later.live_keys() {
+            assert!(pack.get(&key).is_some(), "blob {key} lost behind the tear");
+        }
+        let daemon = FleetDaemon::with_backend(FleetDaemonConfig::default(), root);
+        let h = daemon.submit(JobSpec::new("acme"), job(2022, 3)).unwrap();
+        daemon.run_until(100);
+        let delta = daemon.resolve(h).unwrap().delta.expect("restored baseline");
+        assert_eq!((delta.prev_epoch, delta.epoch), (2, 3));
     }
 
     #[test]

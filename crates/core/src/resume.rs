@@ -48,8 +48,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use store::{
-    AuditStore, Backend, ContentHash, DiskBackend, MemBackend, StoreError, StoreStats,
-    ValidatorCache,
+    ArtifactCache, AuditStore, Backend, ContentHash, DiskBackend, MemBackend, StoreError,
+    StoreStats, ValidatorCache, PACK_FILE,
 };
 use synth::Ecosystem;
 
@@ -113,10 +113,10 @@ impl StoreConfig {
         self
     }
 
-    /// Open the audit store for the run identified by `fingerprint`, with
-    /// the crash lever armed when configured.
-    fn open(&self, fingerprint: u64) -> Result<AuditStore, AuditError> {
-        let store = AuditStore::open(self.backend.clone(), fingerprint, self.resume)?;
+    /// Open the audit store for the run identified by `fingerprint` over
+    /// `pack`, with the crash lever armed when configured.
+    fn open(&self, fingerprint: u64, pack: Arc<ArtifactCache>) -> Result<AuditStore, AuditError> {
+        let store = AuditStore::open(self.backend.clone(), pack, fingerprint, self.resume)?;
         if let Some(frames) = self.kill_after_frames {
             store.set_kill_after(frames);
         }
@@ -213,10 +213,10 @@ fn artifact_key_raw(fingerprint: u64, bot_json: &[u8]) -> ContentHash {
     ContentHash::of_parts(&[b"analysis-v1", &fingerprint.to_le_bytes(), bot_json])
 }
 
-/// Everything the warm crawl path carries: the tenant's journaled
-/// validator cache, the set of detail hrefs the site's change ledger names
-/// since the cache's committed epoch, and the epoch to commit once the
-/// crawl completes. Absent, the pipeline crawls cold — incrementality is a
+/// Everything the warm crawl path carries: the tenant's held validator
+/// cache, the set of detail hrefs the site's change ledger names since the
+/// cache's committed epoch, and the epoch to commit once the crawl
+/// completes. Absent, the pipeline crawls cold — incrementality is a
 /// performance overlay, never a correctness dependency.
 pub(crate) struct IncrementalContext {
     cache: CacheStore,
@@ -227,7 +227,7 @@ pub(crate) struct IncrementalContext {
 /// [`ValidatorStore`] over the journaled [`ValidatorCache`]. Write failures
 /// are swallowed: validators are performance state — a lost entry costs an
 /// extra full fetch on the next run, never a wrong crawl.
-struct CacheStore(ValidatorCache);
+struct CacheStore(Arc<ValidatorCache>);
 
 impl ValidatorStore for CacheStore {
     fn get(&self, key: &str) -> Option<Vec<u8>> {
@@ -296,49 +296,53 @@ impl AuditPipeline {
         world_seed: u64,
     ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
+        let pack =
+            ArtifactCache::open(store_cfg.backend.clone(), PACK_FILE).map_err(StoreError::Io)?;
         self.run_journaled(
             eco,
             Journaled {
-                store: &store_cfg.open(fingerprint)?,
+                store: &store_cfg.open(fingerprint, Arc::new(pack))?,
                 fingerprint,
                 inc: None,
             },
         )
     }
 
-    /// [`Self::run_resumable`] with the conditional-fetch warm path armed.
+    /// [`Self::run_resumable`] over a tenant's held files, with the
+    /// conditional-fetch warm path armed.
     ///
-    /// Opens the tenant's validator cache next to the artifact pack, asks
-    /// the listing site which bots changed since the cache's committed
-    /// epoch, and hands the crawl the cache: an unchanged page costs one
-    /// bodyless 304 round-trip, a ledger-named page is always re-fetched
-    /// in full. If the change feed is unreachable or the cache cannot
-    /// open, the run silently degrades to the cold path — the report is
-    /// byte-identical either way.
+    /// The run appends to `pack`, the tenant's artifact pack already open,
+    /// and warms from `validators`, its validator cache for this run's
+    /// fingerprint ([`run_fingerprint`]): it asks the listing site which
+    /// bots changed since the cache's committed epoch and hands the crawl
+    /// the cache, so an unchanged page costs one bodyless 304 round-trip
+    /// and a ledger-named page is always re-fetched in full. Without a
+    /// cache, or if the change feed is unreachable, the run silently
+    /// degrades to the cold path — the report is byte-identical either way.
     pub fn run_incremental(
         &self,
         eco: &Ecosystem,
         store_cfg: &StoreConfig,
         world_seed: u64,
         epoch: u32,
+        pack: Arc<ArtifactCache>,
+        validators: Option<Arc<ValidatorCache>>,
     ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        let store = store_cfg.open(fingerprint)?;
-        let inc = ValidatorCache::open(store_cfg.backend.clone(), fingerprint)
-            .ok()
-            .and_then(|cache| {
-                let changed = fetch_changed_hrefs(
-                    &eco.net,
-                    &self.config.crawl.list_host,
-                    cache.epoch(),
-                    &self.obs,
-                )?;
-                Some(IncrementalContext {
-                    cache: CacheStore(cache),
-                    changed,
-                    epoch,
-                })
-            });
+        let store = store_cfg.open(fingerprint, pack)?;
+        let inc = validators.and_then(|cache| {
+            let changed = fetch_changed_hrefs(
+                &eco.net,
+                &self.config.crawl.list_host,
+                cache.epoch(),
+                &self.obs,
+            )?;
+            Some(IncrementalContext {
+                cache: CacheStore(cache),
+                changed,
+                epoch,
+            })
+        });
         if inc.is_none() {
             self.obs.event(
                 Severity::Warn,
@@ -511,14 +515,13 @@ impl AuditPipeline {
                 format!("epoch commit failed: {e}"),
             );
         }
-        let vstats = cache.stats();
         self.obs
             .counter("store.validators.entries")
-            .add(vstats.entries);
-        self.obs
-            .counter("store.validators.replayed")
-            .add(vstats.replayed);
-        if vstats.reset {
+            .add(cache.stats().entries);
+        // A held cache reports its open once, to the first run over it.
+        let (replayed, reset) = cache.take_open_counts();
+        self.obs.counter("store.validators.replayed").add(replayed);
+        if reset {
             self.obs.counter("store.validators.reset").incr();
         }
     }

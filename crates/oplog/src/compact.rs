@@ -11,12 +11,15 @@
 //! this module pins both arms). Determinism is pinned too: the rebuilt
 //! pack is a sorted fold of the kept blobs, so identical chains + packs
 //! compact to identical bytes.
-
-use std::io;
-use std::sync::Arc;
+//!
+//! Compaction runs on the caller's open [`ArtifactCache`] — the fleet
+//! daemon's held one — so the index every later audit reads stays exact:
+//! the same call that rewrites the pack drops the index entries it
+//! dropped.
 
 use obs::Obs;
-use store::{ArtifactCache, Backend, PACK_FILE};
+use std::io;
+use store::ArtifactCache;
 
 use crate::chain::EpochChain;
 
@@ -43,42 +46,31 @@ impl CompactionOutcome {
     }
 }
 
-/// Rewrite the pack in `backend`, keeping only blobs referenced by the
-/// last `keep_last` epochs of `chain` (the head generation is always
-/// kept). Emits `store.compaction.runs` / `.dropped` / `.reclaimed_bytes`
+/// Rewrite `cache`'s pack, keeping only blobs referenced by the last
+/// `keep_last` epochs of `chain` (the head generation is always kept).
+/// Emits `store.compaction.runs` / `.dropped` / `.reclaimed_bytes`
 /// counters on `obs`.
 ///
 /// Must not run concurrently with an audit of the same tenant: the
 /// keep-set is computed from the chain, so blobs written by an in-flight,
 /// not-yet-committed epoch would be dropped.
 pub fn compact_generations(
-    backend: &Arc<dyn Backend>,
+    cache: &ArtifactCache,
     chain: &EpochChain,
     keep_last: usize,
     obs: &Obs,
 ) -> io::Result<CompactionOutcome> {
-    let pack_bytes = |backend: &Arc<dyn Backend>| -> io::Result<u64> {
-        Ok(backend
-            .read(PACK_FILE)?
-            .map(|bytes| bytes.len() as u64)
-            .unwrap_or(0))
-    };
-    let pack_bytes_before = pack_bytes(backend)?;
-    let live = chain.live_keys(keep_last);
-    let cache = ArtifactCache::open(Arc::clone(backend), PACK_FILE)?;
-    let dropped_blobs = cache.compact(&live)?;
-    let snapshot = cache.snapshot();
-    let pack_bytes_after = pack_bytes(backend)?;
+    let compacted = cache.compact(&chain.live_keys(keep_last))?;
     let outcome = CompactionOutcome {
         kept_epochs: keep_last.max(1).min(chain.len()),
-        live_blobs: snapshot.entries,
-        dropped_blobs,
-        pack_bytes_before,
-        pack_bytes_after,
+        live_blobs: compacted.kept,
+        dropped_blobs: compacted.dropped,
+        pack_bytes_before: compacted.bytes_before,
+        pack_bytes_after: compacted.bytes_after,
     };
     obs.counter("store.compaction.runs").incr();
     obs.counter("store.compaction.dropped")
-        .add(dropped_blobs as u64);
+        .add(compacted.dropped as u64);
     obs.counter("store.compaction.reclaimed_bytes")
         .add(outcome.reclaimed_bytes());
     Ok(outcome)
@@ -90,8 +82,8 @@ mod tests {
     use crate::hexhash;
     use crate::record::tests::sample_record;
     use crate::record::ZERO_HASH;
-    use std::sync::Mutex;
-    use store::{ContentHash, MemBackend};
+    use std::sync::{Arc, Mutex};
+    use store::{Backend, ContentHash, MemBackend, PACK_FILE};
 
     /// How the wrapper backend sabotages the pack's atomic replace.
     #[derive(Clone, Copy, PartialEq)]
@@ -132,16 +124,23 @@ mod tests {
         }
     }
 
-    /// A 4-epoch workspace: pack blobs for every epoch's keys plus two
+    /// A 4-epoch workspace: pack blobs for every epoch's keys — reports
+    /// and deltas as history blobs, as the daemon writes them — plus two
     /// stale blobs nothing references, and a chain referencing them.
-    fn workspace(backend: &Arc<dyn Backend>) -> EpochChain {
+    fn workspace(backend: &Arc<dyn Backend>) -> (ArtifactCache, EpochChain) {
         let cache = ArtifactCache::open(Arc::clone(backend), PACK_FILE).unwrap();
         let mut chain = EpochChain::open(Arc::clone(backend)).unwrap();
         for epoch in 0..4u32 {
             let record = chain.append(sample_record(epoch, ZERO_HASH)).unwrap();
+            let history = [Some(&record.report_key), record.delta_key.as_ref()];
             for key in record.live_keys() {
-                let blob = format!("blob-for-{}", hexhash::to_hex(&key));
-                cache.put(key, blob.as_bytes()).unwrap();
+                let hex = hexhash::to_hex(&key);
+                let blob = format!("blob-for-{hex}");
+                if history.contains(&Some(&hex)) {
+                    cache.put_history(key, blob.as_bytes()).unwrap();
+                } else {
+                    cache.put(key, blob.as_bytes()).unwrap();
+                }
             }
         }
         for stale in ["orphan-1", "orphan-2"] {
@@ -149,16 +148,21 @@ mod tests {
                 .put(ContentHash::of(stale.as_bytes()), &[0xaa; 256])
                 .unwrap();
         }
-        chain
+        (cache, chain)
     }
 
     #[test]
     fn compaction_drops_old_generations_and_counts_bytes() {
         let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let chain = workspace(&backend);
+        let (cache, chain) = workspace(&backend);
+        let before = backend.read(PACK_FILE).unwrap().unwrap().len() as u64;
         let obs = Obs::disabled();
-        let outcome = compact_generations(&backend, &chain, 2, &obs).unwrap();
+        let outcome = compact_generations(&cache, &chain, 2, &obs).unwrap();
         assert_eq!(outcome.kept_epochs, 2);
+        assert_eq!(outcome.pack_bytes_before, before);
+        let after = backend.read(PACK_FILE).unwrap().unwrap().len() as u64;
+        assert_eq!(outcome.pack_bytes_after, after);
+        assert_eq!(outcome.live_blobs, cache.snapshot().entries);
         assert!(outcome.dropped_blobs >= 2, "orphans at least must go");
         assert!(outcome.reclaimed_bytes() > 0);
         assert_eq!(obs.counter_value("store.compaction.runs"), 1);
@@ -166,12 +170,15 @@ mod tests {
             obs.counter_value("store.compaction.reclaimed_bytes"),
             outcome.reclaimed_bytes()
         );
-        // Every key of the last two epochs survived; epoch 0's and 1's
-        // unshared keys did not.
-        let cache = ArtifactCache::open(Arc::clone(&backend), PACK_FILE).unwrap();
+        // Every key of the last two epochs survived, in the held index and
+        // on disk; epoch 0's and 1's unshared keys did not.
+        let reopened = ArtifactCache::open(Arc::clone(&backend), PACK_FILE).unwrap();
         for key in chain.live_keys(2) {
             assert!(cache.get(&key).is_some(), "live key {key} must survive");
+            assert_eq!(cache.get(&key), reopened.get(&key), "{key}");
         }
+        assert_eq!(reopened.snapshot(), cache.snapshot());
+        assert_eq!(cache.snapshot().history, 4, "two reports, two deltas");
         assert!(cache.get(&ContentHash::of(b"orphan-1")).is_none());
     }
 
@@ -179,8 +186,8 @@ mod tests {
     fn compaction_output_is_deterministic() {
         let run = || {
             let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
-            let chain = workspace(&backend);
-            compact_generations(&backend, &chain, 2, &Obs::disabled()).unwrap();
+            let (cache, chain) = workspace(&backend);
+            compact_generations(&cache, &chain, 2, &Obs::disabled()).unwrap();
             backend.read(PACK_FILE).unwrap().unwrap()
         };
         assert_eq!(run(), run());
@@ -190,8 +197,8 @@ mod tests {
     fn crash_mid_compaction_leaves_old_or_new_generation_intact() {
         // The uncrashed control: what the new generation's bytes must be.
         let control: Arc<dyn Backend> = Arc::new(MemBackend::new());
-        let control_chain = workspace(&control);
-        compact_generations(&control, &control_chain, 2, &Obs::disabled()).unwrap();
+        let (control_cache, control_chain) = workspace(&control);
+        compact_generations(&control_cache, &control_chain, 2, &Obs::disabled()).unwrap();
         let new_generation = control.read(PACK_FILE).unwrap().unwrap();
 
         for sabotage in [Sabotage::FailBeforeApply, Sabotage::FailAfterApply] {
@@ -200,10 +207,10 @@ mod tests {
                 armed: Mutex::new(None),
             });
             let backend: Arc<dyn Backend> = Arc::clone(&crashy) as Arc<dyn Backend>;
-            let chain = workspace(&backend);
+            let (cache, chain) = workspace(&backend);
             let old_generation = backend.read(PACK_FILE).unwrap().unwrap();
             *crashy.armed.lock().unwrap() = Some(sabotage);
-            let err = compact_generations(&backend, &chain, 2, &Obs::disabled()).unwrap_err();
+            let err = compact_generations(&cache, &chain, 2, &Obs::disabled()).unwrap_err();
             assert!(err.to_string().contains("injected crash"));
             // Atomic-replace contract: the pack is exactly one whole
             // generation, never a mix or a torn file.
@@ -213,13 +220,14 @@ mod tests {
                 Sabotage::FailAfterApply => assert_eq!(after_crash, new_generation),
             }
             // Either way the workspace is fully usable: reopening replays
-            // a valid pack and retrying converges on the new generation.
-            let cache = ArtifactCache::open(Arc::clone(&backend), PACK_FILE).unwrap();
+            // a valid pack, and retrying on the held cache converges on the
+            // new generation.
+            let reopened = ArtifactCache::open(Arc::clone(&backend), PACK_FILE).unwrap();
             for key in chain.live_keys(2) {
-                assert!(cache.get(&key).is_some());
+                assert!(reopened.get(&key).is_some());
             }
-            drop(cache);
-            compact_generations(&backend, &chain, 2, &Obs::disabled()).unwrap();
+            drop(reopened);
+            compact_generations(&cache, &chain, 2, &Obs::disabled()).unwrap();
             assert_eq!(backend.read(PACK_FILE).unwrap().unwrap(), new_generation);
         }
     }

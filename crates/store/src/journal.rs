@@ -8,9 +8,14 @@
 //! carries damage, truncates it back to that prefix with one atomic rewrite
 //! — so the next append lands after known-good bytes instead of burying new
 //! frames behind garbage that replay would never reach.
+//!
+//! A journal may stay open for as long as its owner lives, so a failed
+//! append must not leave it writing behind torn bytes either: the failure
+//! marks the journal, and its next append first repairs the file exactly
+//! as an open would.
 
 use crate::backend::Backend;
-use crate::frame::{decode_all, Frame, StopReason};
+use crate::frame::{decode_all, Decoded, Frame, StopReason};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,8 +48,10 @@ pub struct Journal {
     backend: Arc<dyn Backend>,
     file: String,
     // Serializes appends from concurrent pipeline workers so frames land
-    // contiguously even on backends whose append is not atomic.
-    append_lock: Mutex<()>,
+    // contiguously even on backends whose append is not atomic. Holds
+    // whether an append failed since the file was last known whole: the
+    // file may then end in a torn frame, which the next append repairs.
+    append_lock: Mutex<bool>,
     frames_written: AtomicU64,
     frames_replayed: AtomicU64,
 }
@@ -53,20 +60,8 @@ impl Journal {
     /// Open `file` on `backend`, replaying (and if necessary repairing) any
     /// existing contents.
     pub fn open(backend: Arc<dyn Backend>, file: &str) -> io::Result<(Journal, Replay)> {
-        let bytes = backend.read(file)?.unwrap_or_default();
-        let decoded = decode_all(&bytes);
-        let repaired = decoded.stop != StopReason::CleanEnd;
-        if repaired {
-            // Truncate to the valid prefix so future appends are reachable.
-            backend.write_atomic(file, &bytes[..decoded.valid_bytes])?;
-        }
-        let journal = Journal {
-            backend,
-            file: file.to_string(),
-            append_lock: Mutex::new(()),
-            frames_written: AtomicU64::new(0),
-            frames_replayed: AtomicU64::new(decoded.frames.len() as u64),
-        };
+        let (decoded, repaired) = read_repaired(&*backend, file)?;
+        let journal = Journal::over(backend, file, decoded.frames.len());
         let replay = Replay {
             frames: decoded.frames,
             valid_bytes: decoded.valid_bytes,
@@ -105,7 +100,7 @@ impl Journal {
             discarded = !replay.frames.is_empty();
         }
         backend.write_atomic(file, &[])?;
-        let (journal, _) = Journal::open(backend, file)?;
+        let journal = Journal::over(backend, file, 0);
         journal.append(header.kind, header.key, header.payload)?;
         let kept = Kept {
             frames: Vec::new(),
@@ -114,24 +109,55 @@ impl Journal {
         Ok((journal, kept))
     }
 
-    /// Append one frame durably.
+    /// A handle on `file`, whose `replayed` frames were just read.
+    fn over(backend: Arc<dyn Backend>, file: &str, replayed: usize) -> Journal {
+        Journal {
+            backend,
+            file: file.to_string(),
+            append_lock: Mutex::new(false),
+            frames_written: AtomicU64::new(0),
+            frames_replayed: AtomicU64::new(replayed as u64),
+        }
+    }
+
+    /// Append one frame durably. After a failed append, the next one first
+    /// truncates the file to its valid prefix, so no frame lands behind a
+    /// torn one.
     pub fn append(&self, kind: u16, key: u64, payload: Vec<u8>) -> io::Result<()> {
         let frame = Frame::new(kind, key, payload);
-        let _guard = self.append_lock.lock().expect("journal append lock");
-        self.backend.append(&self.file, &frame.encode())?;
+        let mut failed = self.append_lock.lock().expect("journal append lock");
+        if *failed {
+            read_repaired(&*self.backend, &self.file)?;
+            *failed = false;
+        }
+        if let Err(e) = self.backend.append(&self.file, &frame.encode()) {
+            *failed = true;
+            return Err(e);
+        }
         self.frames_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Atomically replace the whole file with `frames`: after a crash it
-    /// holds either its old frames or exactly these, never a mix.
-    pub fn replace(&self, frames: impl IntoIterator<Item = Frame>) -> io::Result<()> {
+    /// holds either its old frames or exactly these, never a mix. Returns
+    /// the new file's length in bytes.
+    pub fn replace(&self, frames: impl IntoIterator<Item = Frame>) -> io::Result<u64> {
         let mut bytes = Vec::new();
         for frame in frames {
             bytes.extend_from_slice(&frame.encode());
         }
-        let _guard = self.append_lock.lock().expect("journal append lock");
-        self.backend.write_atomic(&self.file, &bytes)
+        let mut failed = self.append_lock.lock().expect("journal append lock");
+        self.backend.write_atomic(&self.file, &bytes)?;
+        *failed = false;
+        Ok(bytes.len() as u64)
+    }
+
+    /// The file's valid frame prefix, read now and left unrepaired: how an
+    /// owner reaches frames it indexes but keeps on disk only.
+    pub fn scan(&self) -> io::Result<Decoded> {
+        Ok(decode_all(
+            &self.backend.read(&self.file)?.unwrap_or_default(),
+        ))
     }
 
     /// Frames appended through this handle (not counting replayed ones).
@@ -143,6 +169,18 @@ impl Journal {
     pub fn frames_replayed(&self) -> u64 {
         self.frames_replayed.load(Ordering::Relaxed)
     }
+}
+
+/// Read `file` and decode its valid frame prefix, truncating the file to
+/// that prefix when anything follows it. Returns whether it truncated.
+fn read_repaired(backend: &dyn Backend, file: &str) -> io::Result<(Decoded, bool)> {
+    let bytes = backend.read(file)?.unwrap_or_default();
+    let decoded = decode_all(&bytes);
+    let repaired = decoded.stop != StopReason::CleanEnd;
+    if repaired {
+        backend.write_atomic(file, &bytes[..decoded.valid_bytes])?;
+    }
+    Ok((decoded, repaired))
 }
 
 #[cfg(test)]
@@ -241,14 +279,7 @@ mod tests {
         let own_log = file(&[&ours, &unit]);
         let fresh = ours.encoded_len();
         // (case, old file, resume, frames kept, discarded, I/O made)
-        let start_over = |old: usize| {
-            vec![
-                ("read", old),
-                ("write_atomic", 0),
-                ("read", 0),
-                ("append", fresh),
-            ]
-        };
+        let start_over = |old: usize| vec![("read", old), ("write_atomic", 0), ("append", fresh)];
         let cases = [
             (
                 "same fingerprint",
@@ -281,7 +312,7 @@ mod tests {
                 false,
                 vec![],
                 false,
-                vec![("write_atomic", 0), ("read", 0), ("append", fresh)],
+                vec![("write_atomic", 0), ("append", fresh)],
             ),
         ];
         for (case, old, resume, frames, discarded, io) in cases {

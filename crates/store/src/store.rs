@@ -1,4 +1,5 @@
-//! The audit store: one journal + one artifact cache under a run identity.
+//! The audit store: one journal under a run identity, plus the artifact
+//! cache the run reads and extends.
 //!
 //! [`AuditStore`] is what the pipeline holds. It scopes the write-ahead
 //! journal to a *fingerprint* — a caller-computed digest of seed and
@@ -6,6 +7,9 @@
 //! replayed into the wrong world: on open, a journal whose header frame
 //! disagrees with the requested fingerprint is discarded (the artifact
 //! pack, being content-addressed, always survives and simply misses).
+//! The store takes its pack already open: a one-off run opens one for
+//! itself, while a long-lived owner (the fleet daemon) hands every run of a
+//! tenant the same held [`ArtifactCache`], so no run re-reads the pack.
 //! The run's artifact hit and miss counts live here too, since every
 //! per-bot lookup goes through [`AuditStore::artifact_get`].
 //!
@@ -76,7 +80,7 @@ pub struct StoreStats {
 /// Journal + artifact cache, scoped to one run fingerprint.
 pub struct AuditStore {
     journal: Journal,
-    artifacts: ArtifactCache,
+    artifacts: Arc<ArtifactCache>,
     /// Units recovered at open, keyed by (kind, key). Later frames win so a
     /// unit re-recorded after partial corruption replays its newest copy.
     replayed: Mutex<BTreeMap<(u16, u64), Vec<u8>>>,
@@ -94,19 +98,20 @@ pub struct AuditStore {
 }
 
 impl AuditStore {
-    /// Open a store on `backend` for the run identified by `fingerprint`.
+    /// Open a store on `backend` for the run identified by `fingerprint`,
+    /// over `artifacts`, the pack at [`PACK_FILE`] already open.
     ///
     /// With `resume` the existing journal is replayed — unless its header
     /// frame carries a different fingerprint, in which case it is discarded
     /// (resuming someone else's run would be corruption, not convenience).
     /// Without `resume` the journal always starts empty. The artifact pack
-    /// is opened as-is in both cases.
+    /// is used as-is in both cases.
     pub fn open(
         backend: Arc<dyn Backend>,
+        artifacts: Arc<ArtifactCache>,
         fingerprint: u64,
         resume: bool,
     ) -> Result<AuditStore, StoreError> {
-        let artifacts = ArtifactCache::open(backend.clone(), PACK_FILE)?;
         // A fresh journal starts with its header frame, so even a run
         // killed after zero units resumes against the right identity.
         let header = Frame::new(K_RUN_HEADER, 0, fingerprint.to_le_bytes().to_vec());
@@ -235,32 +240,38 @@ mod tests {
         Arc::new(MemBackend::new())
     }
 
+    /// A store over a pack opened for it, the way a one-off run opens one.
+    fn open(backend: Arc<MemBackend>, fingerprint: u64, resume: bool) -> AuditStore {
+        let pack = ArtifactCache::open(backend.clone(), PACK_FILE).unwrap();
+        AuditStore::open(backend, Arc::new(pack), fingerprint, resume).unwrap()
+    }
+
     #[test]
     fn units_survive_reopen_with_resume() {
         let backend = mem();
-        let store = AuditStore::open(backend.clone(), 99, false).unwrap();
+        let store = open(backend.clone(), 99, false);
         store.record_unit(3, 0, b"unit zero".to_vec()).unwrap();
         store.record_unit(3, 1, b"unit one".to_vec()).unwrap();
         drop(store);
 
-        let store = AuditStore::open(backend.clone(), 99, true).unwrap();
+        let store = open(backend.clone(), 99, true);
         assert_eq!(store.lookup_unit(3, 0).as_deref(), Some(&b"unit zero"[..]));
         assert_eq!(store.lookup_unit(3, 1).as_deref(), Some(&b"unit one"[..]));
         assert_eq!(store.stats().frames_replayed, 3); // header + 2 units
 
         // Without resume, history is gone (but the store works).
-        let store = AuditStore::open(backend, 99, false).unwrap();
+        let store = open(backend, 99, false);
         assert_eq!(store.lookup_unit(3, 0), None);
     }
 
     #[test]
     fn fingerprint_mismatch_discards_journal() {
         let backend = mem();
-        let store = AuditStore::open(backend.clone(), 1, false).unwrap();
+        let store = open(backend.clone(), 1, false);
         store.record_unit(3, 0, b"world one".to_vec()).unwrap();
         drop(store);
 
-        let store = AuditStore::open(backend, 2, true).unwrap();
+        let store = open(backend, 2, true);
         assert_eq!(
             store.lookup_unit(3, 0),
             None,
@@ -272,7 +283,7 @@ mod tests {
     #[test]
     fn kill_switch_interrupts_and_resume_continues() {
         let backend = mem();
-        let store = AuditStore::open(backend.clone(), 5, false).unwrap();
+        let store = open(backend.clone(), 5, false);
         store.set_kill_after(3); // header already wrote 1: two units fit
         store.record_unit(3, 0, b"a".to_vec()).unwrap();
         store.record_unit(3, 1, b"b".to_vec()).unwrap();
@@ -280,7 +291,7 @@ mod tests {
         assert!(matches!(err, StoreError::Interrupted));
         assert_eq!(store.stats().frames_written, 3);
 
-        let store = AuditStore::open(backend, 5, true).unwrap();
+        let store = open(backend, 5, true);
         assert!(store.lookup_unit(3, 1).is_some());
         assert_eq!(store.lookup_unit(3, 2), None);
         store.record_unit(3, 2, b"c".to_vec()).unwrap();
@@ -289,7 +300,7 @@ mod tests {
 
     #[test]
     fn kill_switch_budget_holds_under_concurrent_records() {
-        let store = Arc::new(AuditStore::open(mem(), 5, false).unwrap());
+        let store = Arc::new(open(mem(), 5, false));
         store.set_kill_after(100);
         let start = Arc::new(std::sync::Barrier::new(8));
         let recorders: Vec<_> = (0..8u64)
@@ -312,13 +323,13 @@ mod tests {
     #[test]
     fn artifacts_survive_fresh_journal() {
         let backend = mem();
-        let store = AuditStore::open(backend.clone(), 7, false).unwrap();
+        let store = open(backend.clone(), 7, false);
         let h = ContentHash::of(b"bot content");
         store.artifact_put(h, b"analysis blob").unwrap();
         drop(store);
 
         // Fresh (non-resume) run: journal empty, pack warm.
-        let store = AuditStore::open(backend, 7, false).unwrap();
+        let store = open(backend, 7, false);
         assert_eq!(
             store.artifact_get(&h).as_deref(),
             Some(&b"analysis blob"[..])
@@ -328,7 +339,7 @@ mod tests {
 
     #[test]
     fn only_artifact_get_counts_hits_and_misses() {
-        let store = AuditStore::open(mem(), 7, false).unwrap();
+        let store = open(mem(), 7, false);
         let h = ContentHash::of(b"input");
         assert_eq!(store.artifact_get(&h), None);
         store.artifact_put(h, b"blob").unwrap();
@@ -343,7 +354,7 @@ mod tests {
     #[test]
     fn referenced_keys_census_every_touched_address() {
         let backend = mem();
-        let store = AuditStore::open(backend, 7, false).unwrap();
+        let store = open(backend, 7, false);
         let put = ContentHash::of(b"computed");
         let hit = ContentHash::of(b"warm");
         let peeked = ContentHash::of(b"side-cache");

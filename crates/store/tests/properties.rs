@@ -51,6 +51,12 @@ impl Rng {
     }
 }
 
+/// An audit store over a pack opened for it, as a one-off run opens one.
+fn open_store(backend: &Arc<MemBackend>, resume: bool) -> AuditStore {
+    let pack = ArtifactCache::open(backend.clone(), PACK_FILE).unwrap();
+    AuditStore::open(backend.clone(), Arc::new(pack), 42, resume).unwrap()
+}
+
 fn encode_all(frames: &[Frame]) -> Vec<u8> {
     let mut buf = Vec::new();
     for f in frames {
@@ -97,7 +103,8 @@ fn damage(rng: &mut Rng, backend: &MemBackend, file: &str, how: Damage) -> usize
 }
 
 /// A damaged pack reopens without panicking, serves exactly the blobs of
-/// its intact prefix, and replays a put made after the reopen.
+/// its intact prefix — history blobs, read back by a scan, included — and
+/// replays a put made after the reopen.
 fn damaged_pack_serves_its_intact_prefix(rng: &mut Rng, how: Damage, case: usize) {
     let backend = Arc::new(MemBackend::new());
     let cache = ArtifactCache::open(backend.clone(), PACK_FILE).unwrap();
@@ -107,8 +114,12 @@ fn damaged_pack_serves_its_intact_prefix(rng: &mut Rng, how: Damage, case: usize
             (ContentHash::of(format!("{case}/{i}").as_bytes()), blob)
         })
         .collect();
-    for (hash, blob) in &blobs {
-        cache.put(*hash, blob).unwrap();
+    // Every other blob is a history blob, whose bytes stay on disk.
+    for (i, (hash, blob)) in blobs.iter().enumerate() {
+        match i % 2 {
+            0 => cache.put(*hash, blob).unwrap(),
+            _ => cache.put_history(*hash, blob).unwrap(),
+        }
     }
     drop(cache);
 
@@ -316,7 +327,7 @@ fn store_resumes_from_any_corruption_without_panicking() {
     let mut rng = Rng::new(0xa11d);
     for case in 0..100 {
         let backend = Arc::new(MemBackend::new());
-        let store = AuditStore::open(backend.clone(), 42, false).unwrap();
+        let store = open_store(&backend, false);
         let units = 1 + rng.below(10);
         for key in 0..units as u64 {
             let payload: Vec<u8> = (0..rng.below(64)).map(|_| rng.next() as u8).collect();
@@ -342,7 +353,7 @@ fn store_resumes_from_any_corruption_without_panicking() {
         };
         backend.poke(JOURNAL_FILE, damaged);
 
-        let store = AuditStore::open(backend, 42, true).unwrap();
+        let store = open_store(&backend, true);
         let recovered = (0..units as u64)
             .filter(|&k| store.lookup_unit(0x0100, k).is_some())
             .count();

@@ -20,10 +20,14 @@
 //! 4. **Clones are state, not history** — a what-if clone of a tenant
 //!    re-audits from the snapshot baseline and produces a delta against
 //!    the fork point, while the original chain is untouched.
+//! 5. **Held equals reopened** — a tenant's pack and validator cache,
+//!    held open across epochs and a compaction, give the same reports,
+//!    deltas and artifact hits and misses as a daemon restarted over the
+//!    same root before every epoch.
 
 use chatbot_audit::{Audit, AuditJob, FleetDaemon, FleetDaemonConfig, PlatformKind};
 use netsim::VirtualClock;
-use obs::Obs;
+use obs::{Clock as _, Obs};
 use sched::JobSpec;
 use std::sync::Arc;
 use store::{Backend, MemBackend};
@@ -268,4 +272,67 @@ fn clones_fork_state_without_history_and_without_touching_the_source() {
 
     // The source chain never noticed.
     assert_eq!(daemon.history("acme").unwrap(), source_history);
+}
+
+/// One tenant through epochs 0–3, compacted to its last generation after
+/// epoch 2, in one daemon or in a fresh daemon over the same root before
+/// every epoch: each outcome's report, delta, and artifact hits and misses.
+///
+/// The tenant samples 3, 4, 4, then 3 honeypot bots, which moves the run
+/// fingerprint and with it every artifact address. Epoch 3 thus returns to
+/// epoch 0's addresses, which compaction dropped: a held index that kept
+/// them would report hits where a restarted daemon misses. Epochs 1 and 2
+/// share a validator cache; epochs 1 and 3 reopen it for a new
+/// fingerprint.
+fn held_or_restarted(restart_every_epoch: bool) -> Vec<String> {
+    let root: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    let mut daemon = fleet(1, Arc::clone(&root));
+    let mut outcomes = Vec::new();
+    for (epoch, sample) in [3, 4, 4, 3].into_iter().enumerate() {
+        let epoch = epoch as u32;
+        if restart_every_epoch {
+            daemon = fleet(1, Arc::clone(&root));
+        }
+        let audit = Audit::builder()
+            .scale(BOTS)
+            .seed(2022)
+            .honeypot_sample(sample)
+            .site_defenses(false)
+            .drift(DriftConfig::default())
+            .epoch(epoch)
+            .obs(daemon.obs().clone())
+            .into_job()
+            .expect("valid job");
+        let handle = daemon
+            .submit(JobSpec::new("acme"), audit)
+            .expect("admitted");
+        daemon.run_until(daemon.clock().now_millis() + 2_000);
+        let outcome = daemon.resolve(handle).expect("settled");
+        outcomes.push(format!(
+            "epoch {epoch}: {} hits, {} misses\n{}\n{}",
+            outcome.artifact_hits,
+            outcome.artifact_misses,
+            serde_json::to_string(outcome.report.as_ref().expect("audit completes")).unwrap(),
+            serde_json::to_string(&outcome.delta).unwrap(),
+        ));
+        if epoch == 2 {
+            daemon.compact_tenant("acme", 1).expect("compaction");
+        }
+    }
+    outcomes
+}
+
+#[test]
+fn held_tenant_files_match_a_restart_before_every_epoch() {
+    let held = held_or_restarted(false);
+    assert!(held[3].contains("\"prev_epoch\":2"), "{}", held[3]);
+    assert!(
+        held[3].starts_with(&format!("epoch 3: 0 hits, {BOTS} misses")),
+        "compaction dropped every address epoch 3 looks up: {}",
+        &held[3][..40]
+    );
+    let restarted = held_or_restarted(true);
+    for (held, restarted) in held.iter().zip(&restarted) {
+        assert_eq!(held, restarted);
+    }
 }
