@@ -76,16 +76,6 @@ impl GitHubSite {
         net.mount(GITHUB_HOST, self.clone());
     }
 
-    /// URL of a repository page.
-    pub fn repo_url(slug: &str) -> Url {
-        Url::https(GITHUB_HOST, &format!("/{slug}"))
-    }
-
-    /// URL of a profile page.
-    pub fn profile_url(owner: &str) -> Url {
-        Url::https(GITHUB_HOST, &format!("/{owner}"))
-    }
-
     /// FNV-1a content validator over the inputs that feed a view's render,
     /// computed before rendering so a 304 skips the render entirely.
     fn view_etag(parts: &[&[u8]]) -> String {

@@ -121,7 +121,10 @@ impl Audit {
     /// with [`AuditBuilder::store`] (an in-memory store when unset): a run
     /// interrupted at any frame surfaces [`AuditError::Interrupted`] and
     /// resumes — against the same backend, with
-    /// [`StoreConfig::resuming`] — into a byte-identical report.
+    /// [`StoreConfig::resuming`] — into a byte-identical report. A fresh
+    /// run over a store whose artifact pack is warm re-analyzes no
+    /// unchanged bot and re-drives no honeypot guild whose transcript the
+    /// pack holds.
     pub fn run_resumable(&self) -> Result<CanonicalReport, AuditError> {
         let eco = self.world();
         let store = match &self.store {
@@ -146,9 +149,10 @@ impl Audit {
     /// This is the conditional-fetch path over the tenant's held files:
     /// `pack`, and `validators` for [`Self::fingerprint`] (journaled next
     /// to the pack), plus the site's change ledger turn an epoch-N+1
-    /// re-audit into 304 probes for everything the ledger left alone, full
-    /// fetches only for the drifted bots, and replayed guild transcripts for
-    /// every undrifted honeypot sample.
+    /// re-audit into 304 probes for everything the ledger left alone and
+    /// full fetches only for the drifted bots. As on every journaled run,
+    /// guild transcripts from `pack` replay for every undrifted honeypot
+    /// sample.
     pub(crate) fn run_scoped(
         &self,
         store: &StoreConfig,

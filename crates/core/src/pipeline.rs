@@ -9,12 +9,18 @@
 //! GitHub links and boilerplate policies are resolved/scanned once across
 //! the whole population. Results land in their bot's slot, so the
 //! serialized report is independent of scheduling.
+//!
+//! The dynamic stage dispatches on the world's substrate in one place: it
+//! builds the substrate and the honeypot sample once and hands both to one
+//! campaign generic over `ChatSubstrate`. [`AuditPipeline::run_honeypot`]
+//! runs it with no store; journaled runs pass theirs, so guild transcripts
+//! are reused from the artifact pack.
 
 use codeanal::github::LinkOutcome;
 use codeanal::scanner::{scan_repository, ScanReport};
 use codeanal::{Language, LinkCache, ScannerKernelStats};
 use crawler::crawl::{CrawlConfig, CrawlStats, CrawledBot};
-use honeypot::campaign::{BotUnderTest, Campaign, CampaignConfig, CampaignReport, GuildSnapshot};
+use honeypot::campaign::{BotUnderTest, CampaignConfig, CampaignReport};
 use honeypot::DiscordSubstrate;
 use netsim::client::{ClientConfig, HttpClient};
 use netsim::Network;
@@ -22,6 +28,7 @@ use obs::{Obs, Span};
 use platform::PlatformKind;
 use policy::{AnalysisMemo, KeywordOntology, OntologyKernelStats, TraceabilityReport};
 use serde::{Deserialize, Serialize};
+use store::AuditStore;
 use synth::Ecosystem;
 use telegram_sim::TelegramSubstrate;
 
@@ -284,102 +291,37 @@ impl AuditPipeline {
     /// Opens a `dynamic` root span on the pipeline's [`Obs`]; the campaign
     /// traces under it with per-guild children and `honeypot.*` metrics.
     pub fn run_honeypot(&self, eco: &Ecosystem) -> CampaignReport {
-        self.run_honeypot_with_reuse(eco, &std::collections::BTreeMap::new())
-            .0
+        self.dynamic_stage(eco, None)
     }
 
-    /// The honeypot sample, each bot paired with its behaviour-class name.
-    /// The class name joins the bot's name and rendered invite URL as the
-    /// identity a cached guild transcript is keyed on — together they are
-    /// exactly the inputs that shape the guild's phase-2 transcript, so any
-    /// drift that could change the campaign's observation (a behaviour
-    /// flip, a permission-creeped invite) moves the key.
-    pub(crate) fn honeypot_sample(
+    /// The dynamic stage's one dispatch on the substrate: build the
+    /// substrate and the sample — each bot with its planted behaviour
+    /// class — once, and hand both to [`Self::run_campaign`], which reuses
+    /// and stores guild transcripts through `store` when given.
+    pub(crate) fn dynamic_stage(
         &self,
         eco: &Ecosystem,
-    ) -> Vec<(BotUnderTest<DiscordSubstrate>, String)> {
-        eco.most_voted_testable(self.config.honeypot_sample)
-            .into_iter()
-            .map(|(truth, invite, bot_user, behavior)| {
-                let class = format!("{:?}", truth.behavior);
-                (
-                    BotUnderTest {
-                        name: truth.name,
-                        client_id: truth.client_id,
-                        bot_user: bot_user.0.raw(),
-                        invite: invite.to_url().to_string(),
-                        behavior,
-                    },
-                    class,
-                )
-            })
-            .collect()
-    }
-
-    /// The Telegram twin of [`Self::honeypot_sample`]: same most-voted
-    /// ordering, deep links instead of OAuth URLs, `TgBehavior` backends.
-    pub(crate) fn honeypot_sample_telegram(
-        &self,
-        eco: &Ecosystem,
-    ) -> Vec<(BotUnderTest<TelegramSubstrate>, String)> {
-        eco.most_voted_testable_telegram(self.config.honeypot_sample)
-            .into_iter()
-            .map(|(truth, link, actor, behavior)| {
-                let class = format!("{:?}", truth.behavior);
-                (
-                    BotUnderTest {
-                        name: truth.name,
-                        client_id: truth.client_id,
-                        bot_user: actor,
-                        invite: link,
-                        behavior,
-                    },
-                    class,
-                )
-            })
-            .collect()
-    }
-
-    /// The `(name, invite, class)` identity triple of every sampled bot, in
-    /// sample order, regardless of substrate. This is what guild-transcript
-    /// cache keys are built from — the resume layer never needs the
-    /// substrate-specific behaviour boxes, only the identities.
-    pub(crate) fn honeypot_identities(&self, eco: &Ecosystem) -> Vec<(String, String, String)> {
-        match eco.kind {
-            PlatformKind::Discord => self
-                .honeypot_sample(eco)
-                .into_iter()
-                .map(|(but, class)| (but.name, but.invite, class))
-                .collect(),
-            PlatformKind::Telegram => self
-                .honeypot_sample_telegram(eco)
-                .into_iter()
-                .map(|(but, class)| (but.name, but.invite, class))
-                .collect(),
-        }
-    }
-
-    /// [`Self::run_honeypot`] with prior-run guild transcripts attached:
-    /// bots named in `reuse` are set up but never re-driven, and the
-    /// returned snapshots (one per tested bot) feed the next re-audit.
-    /// Dispatches on the ecosystem's substrate: the same generic campaign
-    /// drives Discord OAuth installs or Telegram deep links.
-    pub(crate) fn run_honeypot_with_reuse(
-        &self,
-        eco: &Ecosystem,
-        reuse: &std::collections::BTreeMap<String, GuildSnapshot>,
-    ) -> (CampaignReport, Vec<GuildSnapshot>) {
-        let root = self.obs.span("dynamic");
+        store: Option<(&AuditStore, u64)>,
+    ) -> CampaignReport {
+        let count = self.config.honeypot_sample;
         match eco.kind {
             PlatformKind::Discord => {
                 let substrate = DiscordSubstrate::new(eco.platform.clone(), eco.net.clone());
-                let mut campaign = Campaign::new(substrate, self.config.honeypot.clone());
-                let bots: Vec<BotUnderTest<DiscordSubstrate>> = self
-                    .honeypot_sample(eco)
+                let sample = eco
+                    .most_voted_testable(count)
                     .into_iter()
-                    .map(|(but, _)| but)
+                    .map(|(truth, invite, bot_user, behavior)| {
+                        let bot = BotUnderTest {
+                            name: truth.name,
+                            client_id: truth.client_id,
+                            bot_user: bot_user.0.raw(),
+                            invite: invite.to_url().to_string(),
+                            behavior,
+                        };
+                        (truth.behavior, bot)
+                    })
                     .collect();
-                campaign.run_traced(bots, &self.obs, &root, reuse)
+                self.run_campaign(substrate, sample, store)
             }
             PlatformKind::Telegram => {
                 let tg = eco
@@ -388,13 +330,21 @@ impl AuditPipeline {
                     .expect("a Telegram world carries its substrate")
                     .clone();
                 let substrate = TelegramSubstrate::new(tg, eco.net.clone());
-                let mut campaign = Campaign::new(substrate, self.config.honeypot.clone());
-                let bots: Vec<BotUnderTest<TelegramSubstrate>> = self
-                    .honeypot_sample_telegram(eco)
+                let sample = eco
+                    .most_voted_testable_telegram(count)
                     .into_iter()
-                    .map(|(but, _)| but)
+                    .map(|(truth, invite, bot_user, behavior)| {
+                        let bot = BotUnderTest {
+                            name: truth.name,
+                            client_id: truth.client_id,
+                            bot_user,
+                            invite,
+                            behavior,
+                        };
+                        (truth.behavior, bot)
+                    })
                     .collect();
-                campaign.run_traced(bots, &self.obs, &root, reuse)
+                self.run_campaign(substrate, sample, store)
             }
         }
     }
@@ -510,6 +460,13 @@ mod tests {
         assert_eq!(report.bots.len(), 120);
         assert!(report.honeypot.is_some());
         assert!(report.crawl_stats.pages > 0);
+        // Guild-transcript reuse is a store's business: a run without one
+        // never registers its counter.
+        assert!(pipeline
+            .obs()
+            .metrics_snapshot()
+            .iter()
+            .all(|(name, _)| name != "honeypot.guilds_reused"));
     }
 
     /// The registry counters one static-stage run publishes, read back as a

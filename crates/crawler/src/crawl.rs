@@ -188,17 +188,13 @@ fn trace_page_outcome(span: &Span, outcome: &PageOutcome) {
     }
 }
 
-/// Everything one full detail-page crawl produced, including the content
-/// validators the servers attached — what the incremental crawl caches.
+/// Everything one full detail-page crawl produced, including the detail
+/// page's content validator — what the incremental crawl caches.
 pub(crate) struct DetailFetch {
     /// The crawled bot itself.
     pub bot: CrawledBot,
     /// The detail page's validator, when the site sent one.
     pub etag_detail: Option<String>,
-    /// `(url, etag)` of the bot's website homepage, when fetched.
-    pub home_validator: Option<(String, String)>,
-    /// `(url, etag)` of the policy page, when fetched.
-    pub policy_validator: Option<(String, String)>,
     /// Body bytes transferred across all full fetches for this bot.
     pub bytes: u64,
     /// Full-body page fetches performed (detail + homepage + policy).
@@ -265,21 +261,14 @@ pub(crate) fn crawl_detail(
         InviteStatus::MalformedLink
     };
 
-    let (website_reachable, policy_link_present, policy, home_validator, policy_validator) =
-        if config.fetch_policies {
-            let pf = fetch_policy_meta(session, scraped.website.as_deref());
-            bytes += pf.bytes;
-            fetches += pf.fetches;
-            (
-                pf.reachable,
-                pf.link_present,
-                pf.policy,
-                pf.home_validator,
-                pf.policy_validator,
-            )
-        } else {
-            (false, false, None, None, None)
-        };
+    let (website_reachable, policy_link_present, policy) = if config.fetch_policies {
+        let pf = fetch_policy_meta(session, scraped.website.as_deref());
+        bytes += pf.bytes;
+        fetches += pf.fetches;
+        (pf.reachable, pf.link_present, pf.policy)
+    } else {
+        (false, false, None)
+    };
 
     DetailOutcome::Fetched(Box::new(DetailFetch {
         bot: CrawledBot {
@@ -290,8 +279,6 @@ pub(crate) fn crawl_detail(
             policy,
         },
         etag_detail,
-        home_validator,
-        policy_validator,
         bytes,
         fetches,
     }))
@@ -616,7 +603,7 @@ pub fn crawl_detail_unit(
     (DetailUnit { results, overhead }, raws)
 }
 
-/// What one website visit produced, validators and transfer cost included.
+/// What one website visit produced, transfer cost included.
 pub(crate) struct PolicyFetch {
     /// The homepage answered.
     pub reachable: bool,
@@ -624,26 +611,18 @@ pub(crate) struct PolicyFetch {
     pub link_present: bool,
     /// The policy document, when the link worked.
     pub policy: Option<PrivacyPolicy>,
-    /// `(url, etag)` of the homepage, when it answered with a validator.
-    pub home_validator: Option<(String, String)>,
-    /// `(url, etag)` of the policy page, when it answered with a validator.
-    pub policy_validator: Option<(String, String)>,
     /// Body bytes transferred.
     pub bytes: u64,
     /// Full-body fetches performed.
     pub fetches: u64,
 }
 
-/// Visit a bot's website and hunt for its privacy policy, recording the
-/// validators each page served so the visit can later be revalidated with
-/// 304s instead of repeated.
+/// Visit a bot's website and hunt for its privacy policy.
 pub(crate) fn fetch_policy_meta(session: &mut ScrapeSession, website: Option<&str>) -> PolicyFetch {
     let mut out = PolicyFetch {
         reachable: false,
         link_present: false,
         policy: None,
-        home_validator: None,
-        policy_validator: None,
         bytes: 0,
         fetches: 0,
     };
@@ -662,9 +641,6 @@ pub(crate) fn fetch_policy_meta(session: &mut ScrapeSession, website: Option<&st
     out.reachable = true;
     out.bytes += resp.body.len() as u64;
     out.fetches += 1;
-    out.home_validator = resp
-        .header("etag")
-        .map(|t| (home_url.to_string(), t.to_string()));
     let Ok(doc) = parse_body(&resp) else {
         return out;
     };
@@ -678,7 +654,7 @@ pub(crate) fn fetch_policy_meta(session: &mut ScrapeSession, website: Option<&st
     let Ok(policy_url) = home_url.join(href) else {
         return out;
     };
-    let Ok(presp) = session.http().get(policy_url.clone()) else {
+    let Ok(presp) = session.http().get(policy_url) else {
         return out;
     };
     if !presp.status.is_success() {
@@ -686,9 +662,6 @@ pub(crate) fn fetch_policy_meta(session: &mut ScrapeSession, website: Option<&st
     }
     out.bytes += presp.body.len() as u64;
     out.fetches += 1;
-    out.policy_validator = presp
-        .header("etag")
-        .map(|t| (policy_url.to_string(), t.to_string()));
     let Ok(pdoc) = parse_body(&presp) else {
         return out;
     };

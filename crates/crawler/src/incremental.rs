@@ -126,17 +126,14 @@ pub struct CachedListing {
     pub bytes: u64,
 }
 
-/// Every validator one bot's cached crawl result depends on. The result
-/// itself lives under [`detail_body_key`] as raw JSON; this record stays
-/// small so the warm path's per-bot bookkeeping costs microseconds.
+/// The validator one bot's cached crawl result is revalidated against.
+/// The result itself lives under [`detail_body_key`] as raw JSON; this
+/// record stays small so the warm path's per-bot bookkeeping costs
+/// microseconds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CachedDetail {
     /// The detail page's validator.
     pub etag_detail: String,
-    /// `(url, etag)` of the website homepage, when the crawl fetched it.
-    pub home_validator: Option<(String, String)>,
-    /// `(url, etag)` of the policy page, when the crawl fetched it.
-    pub policy_validator: Option<(String, String)>,
     /// Body bytes the full crawl transferred (what a revalidation saves).
     pub bytes: u64,
 }
@@ -331,9 +328,9 @@ pub(crate) fn crawl_detail_cached(
 /// Revalidate a cached bot the change ledger left alone: one conditional
 /// round-trip against the detail page's validator. The ledger names every
 /// bot whose crawl bytes moved — detail page, website policy, or GitHub
-/// view — so for an unlisted bot the subresource validators recorded in
-/// [`CachedDetail`] are already vouched for; probing them again would turn
-/// the one cheap 304 the warm path is built around into three. A detail
+/// view — so an unlisted bot's website and policy pages need no probe of
+/// their own; probing them would turn the one cheap 304 the warm path is
+/// built around into three. A detail
 /// mismatch (cache older than the ledger's horizon, or a server that
 /// stopped honouring validators) still falls back to the full fetch.
 fn revalidate_detail(
@@ -383,8 +380,6 @@ fn cache_detail(store: &dyn ValidatorStore, href: &str, fetch: &DetailFetch) -> 
     if let Some(etag_detail) = fetch.etag_detail.clone() {
         let entry = CachedDetail {
             etag_detail,
-            home_validator: fetch.home_validator.clone(),
-            policy_validator: fetch.policy_validator.clone(),
             bytes: fetch.bytes,
         };
         if let Ok(bytes) = serde_json::to_vec(&entry) {
@@ -540,6 +535,46 @@ mod tests {
         assert_eq!(warm_obs.counter_value("crawl.fetched_full"), 0);
         assert!(warm_obs.counter_value("crawl.bytes_saved") > 0);
         assert_eq!(warm_obs.counter_value("crawl.validator_stale"), 0);
+    }
+
+    #[test]
+    fn entries_with_subresource_validators_stay_warm() {
+        // Detail entries used to carry the website's and policy page's
+        // validators too. The reader skips fields it does not know, so a
+        // validator store written in that format still serves 304s.
+        #[derive(Serialize)]
+        struct WithSubresources {
+            etag_detail: String,
+            home_validator: Option<(String, String)>,
+            policy_validator: Option<(String, String)>,
+            bytes: u64,
+        }
+        let net = world(8, 3);
+        let store = MemValidatorStore::new();
+        let none = BTreeSet::new();
+        let obs = Obs::disabled();
+        let hrefs = index(&net, Some(&store), &obs).hrefs;
+        let cold = unit(&net, &hrefs, Some((&store, &none)), &obs);
+        for href in &hrefs {
+            let key = detail_key(href);
+            let entry: CachedDetail = serde_json::from_slice(&store.get(&key).unwrap()).unwrap();
+            let old = WithSubresources {
+                etag_detail: entry.etag_detail,
+                home_validator: Some(("https://ibot0.site.sim/".into(), "\"home\"".into())),
+                policy_validator: Some(("https://ibot0.site.sim/privacy".into(), "\"p\"".into())),
+                bytes: entry.bytes,
+            };
+            store.put(&key, &serde_json::to_vec(&old).unwrap());
+        }
+
+        let warm_obs = Obs::disabled();
+        let warm_index = index(&net, Some(&store), &warm_obs);
+        let warm = unit(&net, &warm_index.hrefs, Some((&store, &none)), &warm_obs);
+        assert_eq!(shape(&warm), shape(&cold));
+        // 2 list pages + 8 bots: one 304 each, every bot reused.
+        assert_eq!(warm_obs.counter_value("crawl.validated"), 2 + 8);
+        assert_eq!(warm_obs.counter_value("crawl.validator_hits"), 2 + 8);
+        assert_eq!(warm_obs.counter_value("crawl.fetched_full"), 0);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl ScrapeSession {
         self.solver.spend_dollars()
     }
 
-    /// Client-level behaviour statistics.
-    pub fn client_stats(&self) -> &netsim::client::ClientStats {
-        self.http.stats()
-    }
-
     fn think(&mut self) {
         let (lo, hi) = self.think_time_ms;
         if hi == 0 {

@@ -175,12 +175,6 @@ impl VirtualClock {
         self.now()
     }
 
-    /// Block virtually until `t`: identical to [`Self::advance_to`] but reads
-    /// better at call sites that model waiting.
-    pub fn sleep_until(&self, t: SimInstant) -> SimInstant {
-        self.advance_to(t)
-    }
-
     /// Sleep for `d` of virtual time.
     pub fn sleep(&self, d: SimDuration) -> SimInstant {
         self.advance(d)

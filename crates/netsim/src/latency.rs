@@ -81,16 +81,6 @@ impl LatencyModel {
         };
         SimDuration::from_millis(ms)
     }
-
-    /// The fastest response this model can produce — used by tests to bound
-    /// expectations.
-    pub fn min_ms(&self) -> u64 {
-        match *self {
-            LatencyModel::Fixed { ms } => ms,
-            LatencyModel::Uniform { lo_ms, .. } => lo_ms,
-            LatencyModel::HeavyTail { base_ms, .. } => base_ms,
-        }
-    }
 }
 
 impl Default for LatencyModel {

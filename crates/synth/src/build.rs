@@ -401,34 +401,38 @@ impl Ecosystem {
         }
     }
 
-    /// The most-voted valid bots, ready for a honeypot campaign: name,
-    /// client id, bot account, invite, and the planted behaviour.
-    pub fn most_voted_testable(
-        &self,
-        count: usize,
-    ) -> Vec<(BotTruth, InviteUrl, discord_sim::UserId, Box<dyn Behavior>)> {
-        let mut out = Vec::new();
+    /// The first `count` valid bots by votes (descending), then client id:
+    /// the honeypot sample on every substrate.
+    fn most_voted_valid(&self, count: usize) -> Vec<&BotTruth> {
         let mut sorted: Vec<&BotTruth> = self.truth.valid_bots().collect();
         sorted.sort_by(|a, b| {
             b.vote_count
                 .cmp(&a.vote_count)
                 .then(a.client_id.cmp(&b.client_id))
         });
-        for bot in sorted.into_iter().take(count) {
-            let Ok(app) = self.platform.application(bot.client_id) else {
-                continue;
-            };
-            let Some(perms) = bot.permissions else {
-                continue;
-            };
-            out.push((
-                bot.clone(),
-                InviteUrl::bot(bot.client_id, perms),
-                app.bot_user,
-                Self::behavior_for(bot.behavior),
-            ));
-        }
-        out
+        sorted.truncate(count);
+        sorted
+    }
+
+    /// The most-voted valid bots, ready for a honeypot campaign: name,
+    /// client id, bot account, invite, and the planted behaviour.
+    pub fn most_voted_testable(
+        &self,
+        count: usize,
+    ) -> Vec<(BotTruth, InviteUrl, discord_sim::UserId, Box<dyn Behavior>)> {
+        self.most_voted_valid(count)
+            .into_iter()
+            .filter_map(|bot| {
+                let app = self.platform.application(bot.client_id).ok()?;
+                let perms = bot.permissions?;
+                Some((
+                    bot.clone(),
+                    InviteUrl::bot(bot.client_id, perms),
+                    app.bot_user,
+                    Self::behavior_for(bot.behavior),
+                ))
+            })
+            .collect()
     }
 
     /// The Telegram twin of [`Ecosystem::most_voted_testable`]: the
@@ -439,30 +443,20 @@ impl Ecosystem {
         count: usize,
     ) -> Vec<(BotTruth, String, ActorId, Box<dyn TgBehavior>)> {
         let tg = self.telegram.as_ref().expect("a Telegram-substrate world");
-        let mut out = Vec::new();
-        let mut sorted: Vec<&BotTruth> = self.truth.valid_bots().collect();
-        sorted.sort_by(|a, b| {
-            b.vote_count
-                .cmp(&a.vote_count)
-                .then(a.client_id.cmp(&b.client_id))
-        });
-        for bot in sorted.into_iter().take(count) {
-            let username = telegram_username(&bot.name);
-            let Some(actor) = tg.bot_by_username(&username) else {
-                continue;
-            };
-            let Some(perms) = bot.permissions else {
-                continue;
-            };
-            let (rights, _) = telegram_profile(perms);
-            out.push((
-                bot.clone(),
-                deep_link(&username, rights),
-                actor,
-                Self::behavior_for_telegram(bot.behavior),
-            ));
-        }
-        out
+        self.most_voted_valid(count)
+            .into_iter()
+            .filter_map(|bot| {
+                let username = telegram_username(&bot.name);
+                let actor = tg.bot_by_username(&username)?;
+                let (rights, _) = telegram_profile(bot.permissions?);
+                Some((
+                    bot.clone(),
+                    deep_link(&username, rights),
+                    actor,
+                    Self::behavior_for_telegram(bot.behavior),
+                ))
+            })
+            .collect()
     }
 }
 

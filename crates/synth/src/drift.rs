@@ -141,14 +141,6 @@ impl EpochDrift {
             .map(|e| e.idx)
             .collect()
     }
-
-    /// Bots whose planted backend behaviour flipped this epoch.
-    pub fn behavior_flips(&self) -> Vec<&DriftEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, DriftKind::BehaviorFlip { .. }))
-            .collect()
-    }
 }
 
 /// Build the world as it stands at `epoch` (0 = the frozen snapshot), plus
