@@ -51,7 +51,7 @@ use crate::report::CanonicalReport;
 use crate::resume::StoreConfig;
 use crate::service::{AuditJob, JobOutcome};
 use netsim::{SimDuration, VirtualClock};
-use obs::{Clock, Obs};
+use obs::{Clock, Obs, Severity};
 use oplog::{CompactionOutcome, EpochChain, EpochRecord, PlatformDrift, TrendQuery};
 use sched::{
     CompletedJob, Daemon, DaemonConfig, ExecCtx, JobEvent, JobId, JobSpec, StepResult, TenantRate,
@@ -413,8 +413,8 @@ impl FleetDaemon {
     /// validator cache for it. A file not held yet — or a validator cache
     /// held for another fingerprint — is opened here, outside the
     /// tenant-map lock, which is taken only to clone or install a handle.
-    /// A validator cache that cannot open is `None`: the run crawls cold
-    /// and the next one retries.
+    /// A validator cache that cannot open is `None`: a warning names the
+    /// error, the run crawls cold, and the next one retries.
     fn held(&self, tenant: &str, fingerprint: Option<u64>) -> io::Result<HeldFiles> {
         let (backend, pack, validators) = {
             let mut tenants = self.tenants.lock().expect("tenant map poisoned");
@@ -433,6 +433,15 @@ impl FleetDaemon {
         let validators = match (validators, fingerprint) {
             (Some(cache), _) => Some(cache),
             (None, Some(fingerprint)) => ValidatorCache::open(Arc::clone(&backend), fingerprint)
+                .inspect_err(|e| {
+                    self.obs.event(
+                        Severity::Warn,
+                        "store.validators",
+                        format!(
+                            "tenant {tenant:?}: validator cache unavailable ({e}); crawling cold"
+                        ),
+                    )
+                })
                 .ok()
                 .map(Arc::new),
             (None, None) => None,
@@ -1392,6 +1401,33 @@ mod tests {
         let history = daemon.history("acme").unwrap();
         assert_eq!((history.len(), history[0].epoch), (1, 0));
         assert_eq!(root.reads(OPLOG), 2, "one failed open, one retry");
+    }
+
+    #[test]
+    fn a_failed_validator_cache_open_is_named_and_retried() {
+        let root = Arc::new(ProbeBackend {
+            fail_first: Some(VALIDATORS),
+            ..ProbeBackend::default()
+        });
+        let daemon = FleetDaemon::with_backend(FleetDaemonConfig::default(), root.clone());
+        let h = daemon.submit(JobSpec::new("acme"), job(2022, 0)).unwrap();
+        daemon.run_until(100);
+        assert!(daemon.resolve(h).unwrap().report.is_ok(), "it crawled cold");
+        let warnings: Vec<String> = daemon
+            .obs()
+            .events()
+            .into_iter()
+            .filter(|e| e.target == "store.validators")
+            .map(|e| e.message)
+            .collect();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(
+            warnings[0].contains("injected read failure"),
+            "{warnings:?}"
+        );
+        daemon.submit(JobSpec::new("acme"), job(2022, 1)).unwrap();
+        daemon.run_until(200);
+        assert_eq!(root.reads(VALIDATORS), 2, "one failed open, one retry");
     }
 
     #[test]
