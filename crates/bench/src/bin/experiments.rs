@@ -522,6 +522,7 @@ fn obs_bench(args: &Args, path: &str) {
     out.insert("seed".into(), args.seed.into());
     out.insert("honeypot_sample".into(), args.honeypot_sample.into());
     out.insert("workers".into(), args.workers.into());
+    out.insert("available_cores".into(), available_cores().into());
     out.insert("rounds_each".into(), ROUNDS.into());
     let side = |runs: &[f64], med: f64| -> serde_json::Map {
         let mut m = serde_json::Map::new();

@@ -13,7 +13,7 @@
 use crate::error::AuditError;
 use crate::pipeline::{AuditConfig, AuditPipeline};
 use crate::report::CanonicalReport;
-use crate::resume::{run_fingerprint, StoreConfig};
+use crate::resume::{run_fingerprint, Carry, StoreConfig};
 use crate::service::AuditJob;
 use obs::Obs;
 use platform::{PlatformKind, TELEGRAM_LIST_HOST};
@@ -28,6 +28,15 @@ fn canonical_list_host(kind: PlatformKind) -> &'static str {
         PlatformKind::Discord => botlist::LIST_HOST,
         PlatformKind::Telegram => TELEGRAM_LIST_HOST,
     }
+}
+
+/// A parked fleet job's run, held in memory between its slices: the world
+/// the audit was built against and what its slices carry (the completed
+/// crawl and their store counts). Only a sliced job holds one; it is
+/// dropped with the job.
+pub(crate) struct HeldRun {
+    world: Ecosystem,
+    carry: Carry,
 }
 
 /// A fully-configured audit, ready to run against its synthetic world.
@@ -153,21 +162,38 @@ impl Audit {
     /// full fetches only for the drifted bots. As on every journaled run,
     /// guild transcripts from `pack` replay for every undrifted honeypot
     /// sample.
+    ///
+    /// `held` is the run an earlier slice of this job parked with: its
+    /// world and crawl. A run handed one resumes from it, and a slice
+    /// (`store` with a kill switch armed) keeps one; an interrupted slice
+    /// puts it back, and a completed run reports store counts summed over
+    /// the job's slices. Any other run builds its world and holds nothing.
     pub(crate) fn run_scoped(
         &self,
         store: &StoreConfig,
         pack: Arc<ArtifactCache>,
         validators: Option<Arc<ValidatorCache>>,
+        held: &mut Option<HeldRun>,
     ) -> Result<(CanonicalReport, StoreStats, Vec<store::ContentHash>), AuditError> {
-        let eco = self.world();
-        let outcome = self.pipeline().run_incremental(
-            &eco,
+        let sliced = store.kill_after_frames.is_some();
+        let carried = sliced || held.is_some();
+        let mut run = held.take().unwrap_or_else(|| HeldRun {
+            world: self.world(),
+            carry: Carry::default(),
+        });
+        let result = self.pipeline().run_carried(
+            &run.world,
             store,
             self.eco.seed,
             self.epoch,
             pack,
             validators,
-        )?;
+            carried.then_some(&mut run.carry),
+        );
+        if sliced && matches!(result, Err(AuditError::Interrupted { .. })) {
+            *held = Some(run);
+        }
+        let outcome = result?;
         Ok((
             outcome.report.canonical(),
             outcome.store_stats,

@@ -30,7 +30,8 @@
 //!   backlogged tenant `quantum × weight` dispatch slots, and a running
 //!   `Batch` audit cooperatively parks at a journal-frame boundary when
 //!   its slice budget runs out — resuming byte-identically on a later
-//!   tick via the crash-safe journal replay path;
+//!   tick from the world and crawl its job holds, replaying the rest from
+//!   the crash-safe journal;
 //! * [`FleetDaemon::run_until`] drives tick-then-advance on the virtual
 //!   clock until a target time — the daemon loop in one call;
 //! * [`FleetDaemon::poll_outcomes`] / [`FleetDaemon::resolve`] deliver
@@ -82,8 +83,12 @@ pub struct FleetDaemonConfig {
     pub quantum: u32,
     /// Cooperative preemption slice for `Batch`-lane audits, in journal
     /// frames. A batch audit that appends this many fresh frames in one
-    /// tick parks at the frame boundary and resumes on a later tick via
-    /// journal replay; `None` disables slicing.
+    /// tick parks at the frame boundary and resumes on a later tick: its
+    /// job holds the world and crawl, so the resumed slice neither rebuilds
+    /// the world nor re-crawls, and replays the journaled analyses and
+    /// campaign. The held run lives in memory: after a restart, a
+    /// resubmitted audit rebuilds its world and 304s its way back through
+    /// the crawl. `None` disables slicing.
     pub batch_slice_frames: Option<u64>,
     /// Virtual milliseconds [`FleetDaemon::run_until`] advances the clock
     /// between ticks.
@@ -535,10 +540,9 @@ impl FleetDaemon {
     /// and held files. Called from worker threads, which take the tenant
     /// map only to fetch or install held handles: the rest of the record
     /// changes only when the slice's outcome settles.
-    fn execute(&self, spec: &JobSpec, job: &AuditJob, ctx: ExecCtx) -> StepResult<ExecOutput> {
-        let audit = job.audit();
+    fn execute(&self, spec: &JobSpec, job: &mut AuditJob, ctx: ExecCtx) -> StepResult<ExecOutput> {
         let result = self
-            .held(&spec.tenant, Some(audit.fingerprint()))
+            .held(&spec.tenant, Some(job.audit().fingerprint()))
             .map_err(store_error)
             .and_then(|(backend, pack, validators)| {
                 let store = StoreConfig {
@@ -546,14 +550,16 @@ impl FleetDaemon {
                     resume: ctx.resuming,
                     kill_after_frames: ctx.slice_frames,
                 };
-                audit.run_scoped(&store, pack, validators)
+                job.run_scoped(&store, pack, validators)
             });
         if ctx.slice_frames.is_some() && matches!(result, Err(AuditError::Interrupted { .. })) {
             // The slice lever fired at a frame boundary: every frame
-            // written is durable, so park and resume on a later tick.
+            // written is durable, and the job holds its world and crawl,
+            // so park and resume on a later tick.
             return StepResult::Parked;
         }
-        StepResult::Done((job.epoch(), audit.ecosystem_config().platform, result))
+        let platform = job.audit().ecosystem_config().platform;
+        StepResult::Done((job.epoch(), platform, result))
     }
 
     /// Turn this tick's scheduler events into [`JobOutcome`]s,

@@ -246,7 +246,7 @@ impl AuditPipeline {
     /// Memoization and kernel counters land in the registry under
     /// `analysis.*`, `policy.*`, and `code.*`.
     pub fn run_static_stages(&self, net: &Network) -> (Vec<AuditedBot>, CrawlStats) {
-        self.static_stages(net, None)
+        self.static_stages(net, None, None)
             .expect("a run without a store has no journal to fail")
     }
 
@@ -351,7 +351,7 @@ impl AuditPipeline {
 
     /// Run everything.
     pub fn run_full(&self, eco: &Ecosystem) -> AuditReport {
-        self.run_stages(eco, None)
+        self.run_stages(eco, None, None)
             .expect("a run without a store has no journal to fail")
     }
 }

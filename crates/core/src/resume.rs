@@ -6,7 +6,8 @@
 //! module: the listing traversal, fixed-size chunks of detail pages, the
 //! per-bot analyses, and the honeypot campaign. Routed through a
 //! [`store::AuditStore`], each completed unit is durably journaled the
-//! moment it finishes, analysis outputs live in a content-addressed
+//! moment it finishes (a bot's analysis address the moment it is known),
+//! analysis outputs live in a content-addressed
 //! artifact cache keyed by the bot's crawled bytes, and each honeypot
 //! guild's transcript lives there too, keyed by its bot's identity. Without
 //! a store the same flow skips every journal lookup, frame write, artifact
@@ -33,6 +34,12 @@
 //! fixed [`CRAWL_UNIT_SIZE`] chunks and analyses per listing index. A frame
 //! that passes its CRC but does not decode is a miss, never a crash: it is
 //! counted under `store.journal.undecodable`, recomputed, and re-recorded.
+//!
+//! A fleet `Batch` audit runs in slices that park at frame boundaries. Its
+//! job holds the world it was built against and a `Carry` between
+//! slices — the completed crawl, which a run with an armed validator cache
+//! never journals, and the store counts so far — so a resumed slice builds
+//! no world, asks the site nothing, and replays only the journal.
 
 use crate::error::AuditError;
 use crate::pipeline::{
@@ -66,7 +73,8 @@ pub const K_LISTING: u16 = 0x0010;
 /// Journal frame kind: one detail-page chunk. Key = chunk index.
 pub const K_CRAWL_UNIT: u16 = 0x0011;
 /// Journal frame kind: one bot's analysis; payload is the 16-byte content
-/// address of the artifact. Key = listing index.
+/// address of the artifact, journaled before the artifact is looked up or
+/// computed. Key = listing index.
 pub const K_ANALYSIS: u16 = 0x0012;
 /// Journal frame kind: the honeypot campaign report. Key 0.
 pub const K_HONEYPOT: u16 = 0x0013;
@@ -141,6 +149,20 @@ impl fmt::Debug for StoreConfig {
     }
 }
 
+/// A completed crawl: every crawled bot with its raw encoding, and the
+/// crawl's totals.
+pub(crate) type Crawl = (Vec<EncodedBot>, CrawlStats);
+
+/// What a sliced run carries in memory from one slice to the next, next to
+/// its journal: its completed crawl and the store counts of its slices so
+/// far. A parked fleet job holds one; a restart loses it and falls back on
+/// the journal, pack and validator cache, which stay the crash-safe state.
+#[derive(Default)]
+pub(crate) struct Carry {
+    crawl: Option<Crawl>,
+    stats: StoreStats,
+}
+
 /// A completed resumable run.
 ///
 /// Memoization and kernel counters live on the pipeline's obs registry
@@ -151,7 +173,8 @@ pub struct ResumableOutcome {
     /// The full report, canonical-identical to an uninterrupted run.
     pub report: AuditReport,
     /// Raw store counters for this handle (journal frames written/replayed,
-    /// artifact cache hits/misses).
+    /// artifact cache hits/misses) — summed over every slice of a run that
+    /// parked.
     pub store_stats: StoreStats,
     /// Every artifact-pack address the completing handle referenced,
     /// sorted and deduplicated — what the fleet's epoch chain records so
@@ -279,6 +302,20 @@ fn delivery_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
     ])
 }
 
+/// The identity a world's journal is recorded under: [`delivery_scoped`],
+/// digested with the world's listing count. Journal units are keyed by
+/// position (listing, crawl-unit and analysis indices), so a resume over
+/// the journal of a world of another shape starts over instead of replaying
+/// into the wrong bots. Analysis keys and guild transcripts are
+/// content-addressed and stay shared.
+fn journal_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
+    store::fingerprint(&[
+        b"journal-v1",
+        &delivery_scoped(fingerprint, eco).to_le_bytes(),
+        &(eco.site.listing_count() as u64).to_le_bytes(),
+    ])
+}
+
 /// The content address of one honeypot guild's cached transcript. Keyed on
 /// everything that shapes the guild's phase-2 run: the run fingerprint
 /// (campaign config, seeds) scoped by [`delivery_scoped`], the bot's
@@ -305,11 +342,15 @@ fn guild_snapshot_key(
 
 fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), AuditError> {
     store.record_unit(kind, key, payload).map_err(|e| match e {
-        StoreError::Interrupted => AuditError::Interrupted {
-            frames_written: store.stats().frames_written,
-        },
+        StoreError::Interrupted => interrupted(store),
         other => AuditError::Store(other),
     })
+}
+
+fn interrupted(store: &AuditStore) -> AuditError {
+    AuditError::Interrupted {
+        frames_written: store.stats().frames_written,
+    }
 }
 
 impl AuditPipeline {
@@ -355,9 +396,30 @@ impl AuditPipeline {
         pack: Arc<ArtifactCache>,
         validators: Option<Arc<ValidatorCache>>,
     ) -> Result<ResumableOutcome, AuditError> {
+        self.run_carried(eco, store_cfg, world_seed, epoch, pack, validators, None)
+    }
+
+    /// [`Self::run_incremental`], given `carry` for one slice of a sliced
+    /// run: a crawl an earlier slice carried is reused — no change-feed
+    /// query, no crawl, no second validator commit — and a crawl this
+    /// slice completes is carried on; the slice's store counts are added to
+    /// the carried ones however it ends, and a completed run reports the
+    /// sum.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_carried(
+        &self,
+        eco: &Ecosystem,
+        store_cfg: &StoreConfig,
+        world_seed: u64,
+        epoch: u32,
+        pack: Arc<ArtifactCache>,
+        validators: Option<Arc<ValidatorCache>>,
+        carry: Option<&mut Carry>,
+    ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        let store = store_cfg.open(delivery_scoped(fingerprint, eco), pack)?;
-        let inc = validators.and_then(|cache| {
+        let store = store_cfg.open(journal_scoped(fingerprint, eco), pack)?;
+        let crawled = carry.as_ref().is_some_and(|c| c.crawl.is_some());
+        let inc = validators.filter(|_| !crawled).and_then(|cache| {
             let Some(changed) = fetch_changed_hrefs(
                 &eco.net,
                 &self.config.crawl.list_host,
@@ -377,49 +439,55 @@ impl AuditPipeline {
                 epoch,
             })
         });
-        self.run_journaled(
-            eco,
-            Journaled {
-                store: &store,
-                fingerprint,
-                inc: inc.as_ref(),
-            },
-        )
-    }
-
-    fn run_journaled(
-        &self,
-        eco: &Ecosystem,
-        run: Journaled<'_>,
-    ) -> Result<ResumableOutcome, AuditError> {
-        let report = self.run_stages(eco, Some(run))?;
-        let store = run.store;
-        if store.lookup_unit(K_COMPLETE, 0).is_none() {
-            record(store, K_COMPLETE, 0, Vec::new())?;
-        }
-        let store_stats = store.stats();
+        let run = Journaled {
+            store: &store,
+            fingerprint,
+            inc: inc.as_ref(),
+        };
+        let (held, sum) = match carry {
+            Some(Carry { crawl, stats }) => (Some(crawl), Some(stats)),
+            None => (None, None),
+        };
+        let report = self.run_stages(eco, Some(run), held).and_then(|report| {
+            if store.lookup_unit(K_COMPLETE, 0).is_none() {
+                record(&store, K_COMPLETE, 0, Vec::new())?;
+            }
+            Ok(report)
+        });
+        // Published however the slice ends, so a parked slice's work is
+        // counted once, by the slice that did it.
+        let slice = store.stats();
         for (name, value) in [
-            ("store.journal.frames_written", store_stats.frames_written),
-            ("store.journal.replayed", store_stats.frames_replayed),
-            ("store.artifacts.hits", store_stats.artifact_hits),
-            ("store.artifacts.misses", store_stats.artifact_misses),
+            ("store.journal.frames_written", slice.frames_written),
+            ("store.journal.replayed", slice.frames_replayed),
+            ("store.artifacts.hits", slice.artifact_hits),
+            ("store.artifacts.misses", slice.artifact_misses),
         ] {
             self.obs.counter(name).add(value);
         }
+        let store_stats = match sum {
+            Some(sum) => {
+                *sum += slice;
+                *sum
+            }
+            None => slice,
+        };
         Ok(ResumableOutcome {
-            report,
+            report: report?,
             store_stats,
             referenced_keys: store.referenced_keys(),
         })
     }
 
-    /// Every stage, journaled through `run` when given.
+    /// Every stage, journaled through `run` when given; `held` is a sliced
+    /// run's crawl slot (see [`Self::static_stages`]).
     pub(crate) fn run_stages(
         &self,
         eco: &Ecosystem,
         run: Option<Journaled<'_>>,
+        held: Option<&mut Option<Crawl>>,
     ) -> Result<AuditReport, AuditError> {
-        let (bots, crawl_stats) = self.static_stages(&eco.net, run)?;
+        let (bots, crawl_stats) = self.static_stages(&eco.net, run, held)?;
         let honeypot = self.honeypot_stage(eco, run)?;
         Ok(AuditReport {
             platform: eco.kind,
@@ -430,17 +498,29 @@ impl AuditPipeline {
     }
 
     /// Data collection, traceability, and code analysis under one `static`
-    /// root span.
+    /// root span. Given `held`, a sliced run's crawl slot, a crawl an
+    /// earlier slice left there is reused and the site is not asked again;
+    /// an empty slot gets a copy of this slice's crawl once it completes.
     pub(crate) fn static_stages(
         &self,
         net: &Network,
         run: Option<Journaled<'_>>,
+        held: Option<&mut Option<Crawl>>,
     ) -> Result<(Vec<AuditedBot>, CrawlStats), AuditError> {
         let root = self.obs.span("static");
-        let (crawled, stats) = self.crawl_stage(net, run, &root)?;
-        if let Some(ctx) = run.and_then(|r| r.inc) {
-            self.commit_validators(ctx);
-        }
+        let (crawled, stats) = match held {
+            Some(Some(crawl)) => crawl.clone(),
+            held => {
+                let crawl = self.crawl_stage(net, run, &root)?;
+                if let Some(ctx) = run.and_then(|r| r.inc) {
+                    self.commit_validators(ctx);
+                }
+                if let Some(slot) = held {
+                    *slot = Some(crawl.clone());
+                }
+                crawl
+            }
+        };
         let bots = self.analysis_stage(net, crawled, run, &root)?;
         Ok((bots, stats))
     }
@@ -452,8 +532,9 @@ impl AuditPipeline {
     /// one the moment it completes, so a crash preserves every completed
     /// unit regardless of order — except with the validator cache armed:
     /// the cache itself is then the crash-safe carrier for crawl state (a
-    /// resumed run 304s its way back in less time than the frames cost to
-    /// serialize), so the crawl journals nothing.
+    /// run after a restart 304s its way back in less time than the frames
+    /// cost to serialize), so the crawl journals nothing. A parked fleet
+    /// slice resumes from the crawl its job carries instead.
     fn crawl_stage(
         &self,
         net: &Network,
@@ -598,9 +679,13 @@ impl AuditPipeline {
     /// One bot's analysis through the artifact pack: at the journaled
     /// address (or the one its crawled bytes hash to), a hit serves the
     /// stored artifact and a miss runs `analyze` and stores the result.
-    /// The address is journaled once per listing index. A blob that does
-    /// not decode counts as a miss; puts are idempotent per address, so it
-    /// stays in the pack and is recomputed on every run that meets it.
+    /// The address is journaled once per listing index, before the lookup:
+    /// a frame the kill switch refuses stops the run before any work or
+    /// count, so each bot counts one hit or miss in the slice that
+    /// journals it, and a replayed address counts only a lost blob, as the
+    /// miss that recomputes it. A blob that does not decode is recomputed;
+    /// puts are idempotent per address, so it stays in the pack and is
+    /// recomputed on every run that meets it.
     fn analyze_journaled(
         &self,
         run: Journaled<'_>,
@@ -618,14 +703,20 @@ impl AuditPipeline {
             }
             key
         });
-        let key = journaled.unwrap_or_else(|| match &raw {
-            Some(bytes) => artifact_key_raw(run.fingerprint, bytes),
-            None => artifact_key(run.fingerprint, &bot),
-        });
-        let stored: Option<AnalysisArtifact> = store
-            .artifact_get(&key)
-            .and_then(|blob| self.decode(&blob, K_ANALYSIS, idx));
-        let audited = match stored {
+        let (key, blob) = match journaled {
+            Some(key) => (key, store.artifact_replay(&key)),
+            None => {
+                let key = match &raw {
+                    Some(bytes) => artifact_key_raw(run.fingerprint, bytes),
+                    None => artifact_key(run.fingerprint, &bot),
+                };
+                record(store, K_ANALYSIS, idx, key.0.to_vec())?;
+                (key, store.artifact_get(&key))
+            }
+        };
+        let stored: Option<AnalysisArtifact> =
+            blob.and_then(|blob| self.decode(&blob, K_ANALYSIS, idx));
+        Ok(match stored {
             Some(AnalysisArtifact { traceability, code }) => {
                 bot_span.record("artifact_hit", 1);
                 AuditedBot {
@@ -649,16 +740,13 @@ impl AuditPipeline {
                     code: artifact.code,
                 }
             }
-        };
-        if journaled.is_none() {
-            record(store, K_ANALYSIS, idx, key.0.to_vec())?;
-        }
-        Ok(audited)
+        })
     }
 
     /// Stage 4. A journaled run replays its journaled campaign, or runs
     /// the campaign through the artifact pack's guild transcripts and
-    /// journals the report as one unit.
+    /// journals the report as one unit. A run whose kill switch would
+    /// refuse that unit stops before the campaign starts.
     fn honeypot_stage(
         &self,
         eco: &Ecosystem,
@@ -671,6 +759,12 @@ impl AuditPipeline {
             self.obs
                 .event(Severity::Info, "store.journal", "honeypot replayed");
             return Ok(report);
+        }
+        // A world never serves two campaigns: a sliced run keeps its world
+        // across parks, so it parks before a campaign whose frame the kill
+        // switch would refuse rather than after it.
+        if run.store.budget_spent() {
+            return Err(interrupted(run.store));
         }
         let fingerprint = delivery_scoped(run.fingerprint, eco);
         let report = self.dynamic_stage(eco, Some((run.store, fingerprint)));
@@ -810,6 +904,61 @@ mod tests {
             AuditError::Interrupted { frames_written } => assert_eq!(frames_written, 3),
             other => panic!("expected interrupt, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_run_killed_at_its_campaign_frame_never_starts_the_campaign() {
+        let clean = pipeline()
+            .run_resumable(&world(), &StoreConfig::in_memory(), 13)
+            .unwrap();
+        // The campaign's frame is the last but one, before `K_COMPLETE`.
+        let budget = clean.store_stats.frames_written - 2;
+        let cfg = StoreConfig::in_memory().killing_after(budget);
+        let killed = pipeline();
+        match killed.run_resumable(&world(), &cfg, 13).unwrap_err() {
+            AuditError::Interrupted { frames_written } => assert_eq!(frames_written, budget),
+            other => panic!("expected interrupt, got {other}"),
+        }
+        assert_eq!(
+            killed.obs().counter_value("honeypot.messages_posted"),
+            0,
+            "the campaign never started"
+        );
+
+        let resumed = pipeline()
+            .run_resumable(
+                &world(),
+                &StoreConfig {
+                    kill_after_frames: None,
+                    ..cfg.resuming()
+                },
+                13,
+            )
+            .unwrap();
+        assert_eq!(
+            resumed.report.canonical_json(),
+            clean.report.canonical_json()
+        );
+    }
+
+    #[test]
+    fn a_journal_of_another_world_shape_starts_over() {
+        let world = |bots| build_ecosystem(&EcosystemConfig::test_scale(bots, 77));
+        let shared = StoreConfig::in_memory();
+        pipeline().run_resumable(&world(100), &shared, 77).unwrap();
+
+        let fresh = pipeline()
+            .run_resumable(&world(200), &StoreConfig::in_memory(), 77)
+            .unwrap();
+        let resumed = pipeline()
+            .run_resumable(&world(200), &shared.resuming(), 77)
+            .unwrap();
+        assert_eq!(resumed.store_stats.frames_replayed, 0);
+        assert_eq!(resumed.report.bots.len(), 200);
+        assert_eq!(
+            resumed.report.canonical_json(),
+            fresh.report.canonical_json()
+        );
     }
 
     #[test]

@@ -3,33 +3,52 @@
 //! per job, and [`platform_breakdown`], the per-substrate rollup over a
 //! heterogeneous fleet's outcomes.
 
-use crate::audit::Audit;
+use crate::audit::{Audit, HeldRun};
 use crate::delta::DeltaReport;
 use crate::error::AuditError;
 use crate::report::CanonicalReport;
+use crate::resume::StoreConfig;
 use sched::JobId;
+use std::sync::Arc;
+use store::{ArtifactCache, ContentHash, StoreStats, ValidatorCache};
 
 /// A validated audit wrapped for fleet submission. Obtained from
 /// [`AuditBuilder::into_job`](crate::AuditBuilder::into_job).
 pub struct AuditJob {
     audit: Audit,
+    /// The run a parked slice left: its world and crawl, which the journal
+    /// does not carry. Set only while a sliced job is parked.
+    held: Option<HeldRun>,
 }
 
 impl std::fmt::Debug for AuditJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuditJob")
             .field("audit", &self.audit)
+            .field("held", &self.held.is_some())
             .finish()
     }
 }
 
 impl AuditJob {
     pub(crate) fn new(audit: Audit) -> AuditJob {
-        AuditJob { audit }
+        AuditJob { audit, held: None }
     }
 
     pub(crate) fn audit(&self) -> &Audit {
         &self.audit
+    }
+
+    /// Run one dispatch of the job: [`Audit::run_scoped`] over the run a
+    /// parked slice held.
+    pub(crate) fn run_scoped(
+        &mut self,
+        store: &StoreConfig,
+        pack: Arc<ArtifactCache>,
+        validators: Option<Arc<ValidatorCache>>,
+    ) -> Result<(CanonicalReport, StoreStats, Vec<ContentHash>), AuditError> {
+        self.audit
+            .run_scoped(store, pack, validators, &mut self.held)
     }
 
     /// The wrapped audit's drift epoch.

@@ -11,7 +11,8 @@
 //! itself, while a long-lived owner (the fleet daemon) hands every run of a
 //! tenant the same held [`ArtifactCache`], so no run re-reads the pack.
 //! The run's artifact hit and miss counts live here too, since every
-//! per-bot lookup goes through [`AuditStore::artifact_get`].
+//! per-bot lookup goes through [`AuditStore::artifact_get`] (or, for a unit
+//! replayed from the journal, [`AuditStore::artifact_replay`]).
 //!
 //! The store also hosts the crash lever the resumability tests lean on:
 //! [`AuditStore::set_kill_after`] arms a frame budget, and the append that
@@ -65,6 +66,7 @@ impl From<io::Error> for StoreError {
 }
 
 /// Durability counters, reported alongside the pipeline's cache stats.
+/// A run resumed slice after slice sums its handles' counters with `+=`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Frames appended to the journal by this handle.
@@ -77,6 +79,15 @@ pub struct StoreStats {
     pub artifact_misses: u64,
 }
 
+impl std::ops::AddAssign for StoreStats {
+    fn add_assign(&mut self, other: StoreStats) {
+        self.frames_written += other.frames_written;
+        self.frames_replayed += other.frames_replayed;
+        self.artifact_hits += other.artifact_hits;
+        self.artifact_misses += other.artifact_misses;
+    }
+}
+
 /// Journal + artifact cache, scoped to one run fingerprint.
 pub struct AuditStore {
     journal: Journal,
@@ -87,7 +98,8 @@ pub struct AuditStore {
     /// Every artifact address this handle touched (get, peek, or put) —
     /// the liveness census longitudinal compaction keeps per epoch.
     touched: Mutex<BTreeSet<ContentHash>>,
-    /// [`Self::artifact_get`] lookups that found a blob, and that did not.
+    /// [`Self::artifact_get`] lookups that found a blob, and that did not
+    /// (with the [`Self::artifact_replay`] lookups that did not).
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
     /// Appends allowed before [`StoreError::Interrupted`]; `u64::MAX` = off.
@@ -147,7 +159,7 @@ impl AuditStore {
     /// [`StoreError::Interrupted`] — the simulated crash point.
     pub fn record_unit(&self, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), StoreError> {
         let _serial = self.record_lock.lock().expect("record lock");
-        if self.journal.frames_written() >= self.kill_after.load(Ordering::Relaxed) {
+        if self.budget_spent() {
             return Err(StoreError::Interrupted);
         }
         self.journal.append(kind, key, payload.clone())?;
@@ -156,6 +168,13 @@ impl AuditStore {
             .expect("replay map lock")
             .insert((kind, key), payload);
         Ok(())
+    }
+
+    /// Whether the armed kill switch would refuse the next
+    /// [`Self::record_unit`]: a caller about to start work whose frame
+    /// cannot land checks this first and stops before the work.
+    pub fn budget_spent(&self) -> bool {
+        self.journal.frames_written() >= self.kill_after.load(Ordering::Relaxed)
     }
 
     /// Look up an analysis artifact by content address, counting a hit or
@@ -167,6 +186,18 @@ impl AuditStore {
             None => &self.artifact_misses,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Look up the artifact a replayed journal unit names. The unit's
+    /// lookup was counted by the handle that journaled it, so a blob found
+    /// counts nothing here; a missing one counts a miss, since the caller
+    /// recomputes it.
+    pub fn artifact_replay(&self, hash: &ContentHash) -> Option<Vec<u8>> {
+        let found = self.artifact_peek(hash);
+        if found.is_none() {
+            self.artifact_misses.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -349,6 +380,40 @@ mod tests {
         assert_eq!(store.artifact_get(&h).as_deref(), Some(&b"blob"[..]));
         let stats = store.stats();
         assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 1));
+    }
+
+    #[test]
+    fn a_replayed_unit_counts_only_a_missing_blob() {
+        let store = open(mem(), 7, false);
+        let stored = ContentHash::of(b"journaled and stored");
+        let lost = ContentHash::of(b"journaled, blob lost");
+        store.artifact_put(stored, b"blob").unwrap();
+        assert_eq!(
+            store.artifact_replay(&stored).as_deref(),
+            Some(&b"blob"[..])
+        );
+        assert_eq!(store.artifact_replay(&lost), None);
+        let stats = store.stats();
+        assert_eq!((stats.artifact_hits, stats.artifact_misses), (0, 1));
+        assert_eq!(store.referenced_keys().len(), 2, "replays are referenced");
+    }
+
+    #[test]
+    fn budget_spent_is_the_kill_switch_comparison() {
+        let store = open(mem(), 5, false);
+        assert!(!store.budget_spent(), "unarmed");
+        store.set_kill_after(2); // the header spent one
+        assert!(!store.budget_spent());
+        store.record_unit(3, 0, b"a".to_vec()).unwrap();
+        assert!(store.budget_spent());
+        assert!(matches!(
+            store.record_unit(3, 1, b"b".to_vec()),
+            Err(StoreError::Interrupted)
+        ));
+
+        let mut sum = store.stats();
+        sum += store.stats();
+        assert_eq!(sum.frames_written, 4, "slices sum with +=");
     }
 
     #[test]

@@ -74,8 +74,10 @@ fn main() {
     let resumed = AuditPipeline::new(config())
         .run_resumable(&world(), &resumed_store, SEED)
         .expect("resumed run completes");
+    // Analyses journaled before the crash replay with their frames; the
+    // pack counts a hit only for a bot this run journals itself.
     println!(
-        "      replayed {} frames, reused {} cached analyses, computed {} fresh",
+        "      replayed {} frames, served {} more analyses from the pack, computed {} fresh",
         resumed.store_stats.frames_replayed,
         resumed.store_stats.artifact_hits,
         resumed.store_stats.artifact_misses,

@@ -18,10 +18,15 @@
 //!    pack its parked predecessor was still writing.
 //! 4. A sliced, parked-and-resumed batch audit produces a report
 //!    byte-identical to the unsliced shutdown drain.
+//! 5. A parked batch audit resumes from the world and crawl its job holds:
+//!    at every slice budget, and through a shutdown drain, a re-audit
+//!    settles with the unsliced report, artifact counts, crawl requests
+//!    and campaign, on Discord and on Telegram.
 
 use chatbot_audit::{Audit, AuditJob, ErrorKind, FleetDaemon, FleetDaemonConfig, ShutdownMode};
-use netsim::{Clock, VirtualClock};
+use netsim::{Clock, SimDuration, VirtualClock};
 use obs::{JsonRecorder, Obs};
+use platform::PlatformKind;
 use sched::JobSpec;
 use std::sync::Arc;
 use store::MemBackend;
@@ -280,4 +285,132 @@ fn sliced_batch_audit_matches_legacy_unsliced_drain_byte_for_byte() {
         serde_json::to_string(&reference).unwrap(),
         "parked-and-resumed audit diverged from the unsliced drain"
     );
+}
+
+/// How [`reaudit`] runs its epoch-3 batch job.
+#[derive(Debug, Clone, Copy)]
+enum Slicing {
+    /// No slice budget: the job runs in one dispatch.
+    Unsliced,
+    /// Sliced at this many frames and ticked until it settles.
+    Budget(u64),
+    /// Sliced at 6 frames, parked on this many ticks, then finished by a
+    /// shutdown drain.
+    DrainAfter(u32),
+}
+
+/// What a re-audit settled with: its report, the outcome's artifact hits
+/// and misses, the registry's, the `crawl.validated` and
+/// `crawl.fetched_full` requests it made, and the honeypot guilds it
+/// reused and messages it posted (a campaign run twice shows in both).
+#[derive(Debug, PartialEq)]
+struct Reaudit {
+    report: String,
+    outcome_counts: (u64, u64),
+    registry_counts: (u64, u64),
+    crawl: (u64, u64),
+    honeypot: (u64, u64),
+}
+
+/// A tenant's epoch-0 audit, then its epoch-3 re-audit as a batch job run
+/// as `slicing` says, every audit reporting through `obs`.
+fn reaudit(platform: PlatformKind, obs: &Obs, slicing: Slicing) -> Reaudit {
+    let job = |epoch| {
+        Audit::builder()
+            .scale(30)
+            .seed(2022)
+            .platform(platform)
+            .honeypot_sample(4)
+            .site_defenses(false)
+            .drift(DriftConfig::default())
+            .epoch(epoch)
+            .obs(obs.clone())
+            .into_job()
+            .expect("valid job")
+    };
+    let daemon = FleetDaemon::new(FleetDaemonConfig {
+        batch_slice_frames: match slicing {
+            Slicing::Unsliced => None,
+            Slicing::Budget(frames) => Some(frames),
+            Slicing::DrainAfter(_) => Some(6),
+        },
+        ..daemon_config(1)
+    });
+    daemon
+        .submit(JobSpec::new("acme"), job(0))
+        .expect("admitted");
+    daemon.run_until(100);
+    assert_eq!(daemon.queued(), 0, "epoch 0 settled");
+    let counters = || {
+        [
+            "store.artifacts.hits",
+            "store.artifacts.misses",
+            "crawl.validated",
+            "crawl.fetched_full",
+            "honeypot.guilds_reused",
+            "honeypot.messages_posted",
+        ]
+        .map(|name| obs.counter_value(name))
+    };
+    let before = counters();
+    let batch = JobSpec::builder("acme")
+        .lane_named("batch")
+        .build()
+        .expect("valid spec");
+    let handle = daemon.submit(batch, job(3)).expect("admitted");
+    let parked = |daemon: &FleetDaemon| daemon.obs().counter_value("sched.parked");
+    let outcome = match slicing {
+        Slicing::DrainAfter(ticks) => {
+            for _ in 0..ticks {
+                assert!(daemon.tick().is_empty(), "{slicing:?}: the slice parks");
+                daemon.clock().advance(SimDuration::from_millis(10));
+            }
+            assert_eq!(parked(&daemon), u64::from(ticks), "{slicing:?}");
+            daemon.shutdown(ShutdownMode::Drain).outcomes.pop()
+        }
+        _ => {
+            daemon.run_until(daemon.clock().now_millis() + 2_000);
+            let sliced = matches!(slicing, Slicing::Budget(_));
+            assert_eq!(parked(&daemon) > 0, sliced, "{slicing:?}");
+            daemon.resolve(handle)
+        }
+    }
+    .expect("the re-audit settles");
+    let after = counters();
+    let delta = |i: usize| after[i] - before[i];
+    Reaudit {
+        report: serde_json::to_string(&outcome.report.expect("the re-audit completes"))
+            .expect("report serializes"),
+        outcome_counts: (outcome.artifact_hits, outcome.artifact_misses),
+        registry_counts: (delta(0), delta(1)),
+        crawl: (delta(2), delta(3)),
+        honeypot: (delta(4), delta(5)),
+    }
+}
+
+#[test]
+fn parked_batch_reaudits_resume_from_their_held_world_and_crawl() {
+    let obs = Obs::disabled();
+    for platform in PlatformKind::ALL {
+        let unsliced = reaudit(platform, &obs, Slicing::Unsliced);
+        assert_eq!(
+            unsliced.registry_counts, unsliced.outcome_counts,
+            "{platform}: the registry counts what the outcome does"
+        );
+        assert!(
+            unsliced.crawl.0 > 0,
+            "{platform}: a warm re-audit validates"
+        );
+        let sweep = (1..=8)
+            .map(Slicing::Budget)
+            .chain([Slicing::DrainAfter(1), Slicing::DrainAfter(3)]);
+        for slicing in sweep {
+            assert_eq!(
+                reaudit(platform, &obs, slicing),
+                unsliced,
+                "{platform} {slicing:?}: a sliced re-audit must settle with the \
+                 unsliced report, counts, crawl requests and campaign"
+            );
+        }
+    }
 }
