@@ -16,8 +16,9 @@
 //! completed work is journaled to `DIR` and analysis outputs land in a
 //! content-addressed pack, so `--resume` continues a killed run and a warm
 //! pack skips every unchanged analysis. `--kill-after-frames N` arms the
-//! deterministic kill switch (for crash drills); `--store-bench-json`
-//! measures cold vs warm vs resumed wall time.
+//! deterministic kill switch after N durable writes, journal and pack
+//! frames alike (for crash drills); `--store-bench-json` measures cold vs
+//! warm vs resumed wall time.
 
 use bench::{render_comparisons, Comparison};
 use chatbot_audit::{
@@ -280,8 +281,8 @@ fn parallel_bench(args: &Args, path: &str) {
 /// Measure what the audit store buys: a cold run (empty store), a warm run
 /// (fresh journal over a warm artifact pack — re-crawl but zero
 /// re-analysis and no re-driven honeypot guild), a pure replay (resuming an
-/// already-complete journal), and a crash-at-half-frames resume. All five
-/// runs must agree byte-for-byte.
+/// already-complete journal), and a crash-at-half-writes resume on an
+/// emptied store. All five runs must agree byte-for-byte.
 fn store_bench(args: &Args, path: &str) {
     let dir = std::env::temp_dir().join(format!("audit-store-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -372,8 +373,9 @@ fn store_bench(args: &Args, path: &str) {
     let (replay, replay_reused) = replay.expect("replay run completes");
     assert_eq!(replay.report.canonical_json(), reference);
 
-    // Crash drill: fresh journal killed half-way, then resumed to the end.
-    let kill_at = cold.store_stats.frames_written / 2;
+    // Crash drill: an emptied store killed half-way, then resumed.
+    let _ = std::fs::remove_dir_all(&dir);
+    let kill_at = (cold.store_stats.frames_written + cold.store_stats.artifact_misses) / 2;
     let (killed_ms, killed) = run(false, Some(kill_at));
     let durable = killed.expect_err("kill switch fires mid-run");
     let (resume_ms, resumed) = run(true, None);
@@ -383,10 +385,13 @@ fn store_bench(args: &Args, path: &str) {
         reference,
         "resume must be byte-identical"
     );
+    let stats = resumed.store_stats;
+    assert!(stats.artifact_hits > 0, "killed before any analysis");
+    assert!(stats.artifact_misses > 0, "killed after every analysis");
 
     println!(
         "store bench: cold {cold_ms:.1} ms | warm pack {warm_ms:.1} ms ({:.2}x) | \
-         replay {replay_ms:.1} ms ({:.2}x) | crash at frame {kill_at} ({durable} durable, \
+         replay {replay_ms:.1} ms ({:.2}x) | crash at write {kill_at} ({durable} durable, \
          {killed_ms:.1} ms) + resume {resume_ms:.1} ms",
         cold_ms / warm_ms,
         cold_ms / replay_ms,
@@ -410,7 +415,7 @@ fn store_bench(args: &Args, path: &str) {
     );
     let mut crash = serde_json::Map::new();
     crash.insert("kill_after_frames".into(), kill_at.into());
-    crash.insert("durable_frames".into(), durable.into());
+    crash.insert("durable_writes".into(), durable.into());
     crash.insert(
         "killed_wall_ms".into(),
         serde_json::to_value(killed_ms).expect("serializable"),
@@ -1475,8 +1480,8 @@ fn main() {
             }
             Err(AuditError::Interrupted { frames_written }) => {
                 eprintln!(
-                    "interrupted after {frames_written} durable journal frames — \
-                     rerun with --resume to continue from here"
+                    "interrupted after {frames_written} durable writes (journal and \
+                     pack frames) — rerun with --resume to continue from here"
                 );
                 std::process::exit(0);
             }

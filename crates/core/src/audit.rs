@@ -32,8 +32,8 @@ fn canonical_list_host(kind: PlatformKind) -> &'static str {
 
 /// A parked fleet job's run, held in memory between its slices: the world
 /// the audit was built against and what its slices carry (the completed
-/// crawl and their store counts). Only a sliced job holds one; it is
-/// dropped with the job.
+/// crawl and the open store). Only a sliced job holds one; it is dropped
+/// with the job.
 pub(crate) struct HeldRun {
     world: Ecosystem,
     carry: Carry,
@@ -164,10 +164,11 @@ impl Audit {
     /// sample.
     ///
     /// `held` is the run an earlier slice of this job parked with: its
-    /// world and crawl. A run handed one resumes from it, and a slice
-    /// (`store` with a kill switch armed) keeps one; an interrupted slice
-    /// puts it back, and a completed run reports store counts summed over
-    /// the job's slices. Any other run builds its world and holds nothing.
+    /// world, crawl and open store. A run handed one resumes from it, and a
+    /// slice (`store` with a kill switch armed) keeps one; an interrupted
+    /// slice puts it back, and a completed run reports the counts of the
+    /// store its slices shared. Any other run builds its world and holds
+    /// nothing.
     pub(crate) fn run_scoped(
         &self,
         store: &StoreConfig,
@@ -597,7 +598,23 @@ mod tests {
         let resumed = resume.run_resumable().unwrap();
         let uninterrupted = small().build().unwrap().run_resumable().unwrap();
         assert_eq!(resumed, uninterrupted);
-        assert!(resume.obs().counter_value("store.journal.replayed") >= 5);
+        let reused = ["store.journal.replayed", "store.artifacts.hits"]
+            .map(|name| resume.obs().counter_value(name));
+        assert!(reused[0] + reused[1] >= 5);
+    }
+
+    #[test]
+    fn a_journal_of_another_drift_epoch_starts_over() {
+        let at = |epoch| small().scale(60).drift(DriftConfig::default()).epoch(epoch);
+        let store = StoreConfig::in_memory();
+        let epoch0 = at(0).store(store.clone()).build().unwrap();
+        let report0 = epoch0.run_resumable().unwrap();
+
+        let fresh = at(3).build().unwrap().run_resumable().unwrap();
+        assert_ne!(fresh, report0, "drift changes the world by epoch 3");
+        let resumed = at(3).store(store.resuming()).build().unwrap();
+        assert_eq!(resumed.run_resumable().unwrap(), fresh);
+        assert_eq!(resumed.obs().counter_value("store.journal.replayed"), 0);
     }
 
     #[test]

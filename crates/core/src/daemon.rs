@@ -28,10 +28,9 @@
 //!   virtual time: overdue queued jobs expire with a typed
 //!   [`AuditError::Expired`] outcome, deficit-round-robin grants each
 //!   backlogged tenant `quantum × weight` dispatch slots, and a running
-//!   `Batch` audit cooperatively parks at a journal-frame boundary when
-//!   its slice budget runs out — resuming byte-identically on a later
-//!   tick from the world and crawl its job holds, replaying the rest from
-//!   the crash-safe journal;
+//!   `Batch` audit cooperatively parks when its slice budget of durable
+//!   writes runs out — resuming byte-identically on a later tick from the
+//!   world, crawl and open store its job holds;
 //! * [`FleetDaemon::run_until`] drives tick-then-advance on the virtual
 //!   clock until a target time — the daemon loop in one call;
 //! * [`FleetDaemon::poll_outcomes`] / [`FleetDaemon::resolve`] deliver
@@ -81,14 +80,15 @@ pub struct FleetDaemonConfig {
     /// gap between equal-weight tenants. `0` disables fairness bounding
     /// (every tick dispatches everything queued).
     pub quantum: u32,
-    /// Cooperative preemption slice for `Batch`-lane audits, in journal
-    /// frames. A batch audit that appends this many fresh frames in one
-    /// tick parks at the frame boundary and resumes on a later tick: its
-    /// job holds the world and crawl, so the resumed slice neither rebuilds
-    /// the world nor re-crawls, and replays the journaled analyses and
-    /// campaign. The held run lives in memory: after a restart, a
-    /// resubmitted audit rebuilds its world and 304s its way back through
-    /// the crawl. `None` disables slicing.
+    /// Cooperative preemption slice for `Batch`-lane audits, in durable
+    /// writes: journal frames, plus the pack frame each analysis miss
+    /// owes. A batch audit whose next write in one tick would exceed this
+    /// many parks before it and resumes on a later tick: its job holds the
+    /// world, crawl and open store, so the resumed slice neither rebuilds
+    /// the world nor re-crawls nor reopens its journal, and re-serves the
+    /// analyses it stored from the pack. The held run lives in memory:
+    /// after a restart, a resubmitted audit rebuilds its world and 304s its
+    /// way back through the crawl. `None` disables slicing.
     pub batch_slice_frames: Option<u64>,
     /// Virtual milliseconds [`FleetDaemon::run_until`] advances the clock
     /// between ticks.
@@ -545,17 +545,18 @@ impl FleetDaemon {
             .held(&spec.tenant, Some(job.audit().fingerprint()))
             .map_err(store_error)
             .and_then(|(backend, pack, validators)| {
+                // Later slices of a sliced job run on the store it holds.
                 let store = StoreConfig {
                     backend,
-                    resume: ctx.resuming,
+                    resume: false,
                     kill_after_frames: ctx.slice_frames,
                 };
                 job.run_scoped(&store, pack, validators)
             });
         if ctx.slice_frames.is_some() && matches!(result, Err(AuditError::Interrupted { .. })) {
-            // The slice lever fired at a frame boundary: every frame
-            // written is durable, and the job holds its world and crawl,
-            // so park and resume on a later tick.
+            // The slice lever fired before a durable write: every write
+            // made is durable, and the job holds its world, crawl and
+            // store, so park and resume on a later tick.
             return StepResult::Parked;
         }
         let platform = job.audit().ecosystem_config().platform;

@@ -37,9 +37,10 @@ pub enum AuditError {
     /// An HTML locator failed during extraction.
     Locate(LocateError),
     /// The armed kill switch fired mid-run (the simulated crash). Every
-    /// frame written before the crash is durable and will replay.
+    /// write made before the crash is durable and will be reused.
     Interrupted {
-        /// Journal frames durably written before the simulated crash.
+        /// Durable writes (journal and analysis pack frames) made before
+        /// the simulated crash.
         frames_written: u64,
     },
     /// The fleet scheduler refused the submission (queue full or tenant

@@ -17,7 +17,7 @@
 //! * [`daemon`] — the always-on fleet layer: [`FleetDaemon`] runs many
 //!   tenants' audits as a long-lived loop on the virtual clock, with
 //!   deficit-round-robin fairness, typed deadline expiry, and
-//!   cooperative preemption of batch audits at journal-frame boundaries;
+//!   cooperative preemption of batch audits between durable writes;
 //!   it re-audits drifted worlds incrementally and emits
 //!   [`DeltaReport`]s;
 //! * [`service`] — the fleet's job vocabulary: [`AuditJob`] in,
@@ -64,8 +64,8 @@ pub use report::{
     CanonicalReport, RiskFlag, RiskReport,
 };
 pub use resume::{
-    run_fingerprint, ResumableOutcome, StoreConfig, CRAWL_UNIT_SIZE, K_ANALYSIS, K_COMPLETE,
-    K_CRAWL_UNIT, K_HONEYPOT, K_LISTING,
+    run_fingerprint, ResumableOutcome, StoreConfig, CRAWL_UNIT_SIZE, K_COMPLETE, K_CRAWL_UNIT,
+    K_HONEYPOT, K_LISTING,
 };
 pub use service::{platform_breakdown, AuditJob, JobOutcome, PlatformBreakdown};
 pub use stats::{

@@ -5,13 +5,12 @@
 //! [`AuditPipeline::run_full`] included — goes through the flow in this
 //! module: the listing traversal, fixed-size chunks of detail pages, the
 //! per-bot analyses, and the honeypot campaign. Routed through a
-//! [`store::AuditStore`], each completed unit is durably journaled the
-//! moment it finishes (a bot's analysis address the moment it is known),
-//! analysis outputs live in a content-addressed
-//! artifact cache keyed by the bot's crawled bytes, and each honeypot
-//! guild's transcript lives there too, keyed by its bot's identity. Without
-//! a store the same flow skips every journal lookup, frame write, artifact
-//! key, and serialization.
+//! [`store::AuditStore`], the listing, each crawl chunk and the campaign
+//! are durably journaled the moment they finish; each bot's analysis
+//! lives only in a content-addressed artifact cache, at the address its
+//! crawled bytes hash to, and each honeypot guild's transcript lives there
+//! too, keyed by its bot's identity. Without a store the same flow skips
+//! every journal lookup, frame write, artifact key, and serialization.
 //!
 //! Two properties follow, and the test suite pins both down:
 //!
@@ -31,15 +30,16 @@
 //!   `honeypot.guilds_reused` prove it.
 //!
 //! Journal layout is worker-count independent: detail pages are journaled in
-//! fixed [`CRAWL_UNIT_SIZE`] chunks and analyses per listing index. A frame
-//! that passes its CRC but does not decode is a miss, never a crash: it is
-//! counted under `store.journal.undecodable`, recomputed, and re-recorded.
+//! fixed [`CRAWL_UNIT_SIZE`] chunks. A frame or analysis blob that passes
+//! its CRC but does not decode is a miss, never a crash: it is counted
+//! under `store.journal.undecodable` and recomputed.
 //!
-//! A fleet `Batch` audit runs in slices that park at frame boundaries. Its
-//! job holds the world it was built against and a `Carry` between
-//! slices — the completed crawl, which a run with an armed validator cache
-//! never journals, and the store counts so far — so a resumed slice builds
-//! no world, asks the site nothing, and replays only the journal.
+//! A fleet `Batch` audit runs in slices that park when their budget of
+//! durable writes runs out. Its job holds the world it was built against
+//! and a `Carry` between slices — the completed crawl, which a run with an
+//! armed validator cache never journals, and the open store — so a
+//! resumed slice builds no world, asks the site nothing, and reopens and
+//! replays nothing.
 
 use crate::error::AuditError;
 use crate::pipeline::{
@@ -72,10 +72,6 @@ use synth::Ecosystem;
 pub const K_LISTING: u16 = 0x0010;
 /// Journal frame kind: one detail-page chunk. Key = chunk index.
 pub const K_CRAWL_UNIT: u16 = 0x0011;
-/// Journal frame kind: one bot's analysis; payload is the 16-byte content
-/// address of the artifact, journaled before the artifact is looked up or
-/// computed. Key = listing index.
-pub const K_ANALYSIS: u16 = 0x0012;
 /// Journal frame kind: the honeypot campaign report. Key 0.
 pub const K_HONEYPOT: u16 = 0x0013;
 /// Journal frame kind: run-complete marker. Key 0.
@@ -92,7 +88,8 @@ pub struct StoreConfig {
     /// Replay a compatible existing journal instead of starting fresh. The
     /// artifact pack is warm either way — content addressing makes it safe.
     pub resume: bool,
-    /// Arm the crash lever: allow this many journal appends, then fail the
+    /// Arm the crash lever: allow this many durable writes — journal
+    /// frames, plus the pack frame each analysis miss owes — then fail the
     /// run with [`AuditError::Interrupted`] exactly as if the process died.
     pub kill_after_frames: Option<u64>,
 }
@@ -123,7 +120,8 @@ impl StoreConfig {
         self
     }
 
-    /// The same store with the crash lever armed after `frames` appends.
+    /// The same store with the crash lever armed after `frames` durable
+    /// writes.
     pub fn killing_after(mut self, frames: u64) -> StoreConfig {
         self.kill_after_frames = Some(frames);
         self
@@ -153,14 +151,15 @@ impl fmt::Debug for StoreConfig {
 /// crawl's totals.
 pub(crate) type Crawl = (Vec<EncodedBot>, CrawlStats);
 
-/// What a sliced run carries in memory from one slice to the next, next to
-/// its journal: its completed crawl and the store counts of its slices so
-/// far. A parked fleet job holds one; a restart loses it and falls back on
-/// the journal, pack and validator cache, which stay the crash-safe state.
+/// What a sliced run carries in memory from one slice to the next: its
+/// completed crawl and its open store, whose counts and referenced keys
+/// then span every slice. A parked fleet job holds one; a restart loses it
+/// and falls back on the journal, pack and validator cache, which stay
+/// the crash-safe state.
 #[derive(Default)]
 pub(crate) struct Carry {
     crawl: Option<Crawl>,
-    stats: StoreStats,
+    store: Option<AuditStore>,
 }
 
 /// A completed resumable run.
@@ -172,17 +171,17 @@ pub(crate) struct Carry {
 pub struct ResumableOutcome {
     /// The full report, canonical-identical to an uninterrupted run.
     pub report: AuditReport,
-    /// Raw store counters for this handle (journal frames written/replayed,
-    /// artifact cache hits/misses) — summed over every slice of a run that
-    /// parked.
+    /// Raw store counters for the run's store handle (journal frames
+    /// written/replayed, artifact cache hits/misses) — one handle over
+    /// every slice of a run that parked.
     pub store_stats: StoreStats,
-    /// Every artifact-pack address the completing handle referenced,
+    /// Every artifact-pack address the run's store handle referenced,
     /// sorted and deduplicated — what the fleet's epoch chain records so
     /// generational compaction keeps this run's blobs live.
     pub referenced_keys: Vec<store::ContentHash>,
 }
 
-/// The journaled analysis output for one bot: everything [`AuditedBot`]
+/// The stored analysis output for one bot: everything [`AuditedBot`]
 /// adds on top of the crawl. Stored as a content-addressed artifact so an
 /// unchanged bot is never re-analyzed, even across unrelated runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -303,16 +302,17 @@ fn delivery_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
 }
 
 /// The identity a world's journal is recorded under: [`delivery_scoped`],
-/// digested with the world's listing count. Journal units are keyed by
-/// position (listing, crawl-unit and analysis indices), so a resume over
-/// the journal of a world of another shape starts over instead of replaying
-/// into the wrong bots. Analysis keys and guild transcripts are
-/// content-addressed and stay shared.
+/// digested with how the world was built ([`Ecosystem::identity`]: its
+/// config and, past epoch 0, its drift config and epoch). Journal units are
+/// keyed by position (listing and crawl-unit indices), so a resume over
+/// the journal of another world — another shape, another drift epoch —
+/// starts over instead of replaying into the wrong bots. Analysis keys and
+/// guild transcripts are content-addressed and stay shared.
 fn journal_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
     store::fingerprint(&[
-        b"journal-v1",
+        b"journal-v2",
         &delivery_scoped(fingerprint, eco).to_le_bytes(),
-        &(eco.site.listing_count() as u64).to_le_bytes(),
+        eco.identity.as_bytes(),
     ])
 }
 
@@ -341,7 +341,12 @@ fn guild_snapshot_key(
 }
 
 fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), AuditError> {
-    store.record_unit(kind, key, payload).map_err(|e| match e {
+    checked(store, store.record_unit(kind, key, payload))
+}
+
+/// A call on `store`, its kill switch's refusal as [`AuditError::Interrupted`].
+fn checked<T>(store: &AuditStore, result: Result<T, StoreError>) -> Result<T, AuditError> {
+    result.map_err(|e| match e {
         StoreError::Interrupted => interrupted(store),
         other => AuditError::Store(other),
     })
@@ -349,20 +354,21 @@ fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(
 
 fn interrupted(store: &AuditStore) -> AuditError {
     AuditError::Interrupted {
-        frames_written: store.stats().frames_written,
+        frames_written: store.writes(),
     }
 }
 
 impl AuditPipeline {
     /// Run the full pipeline through a crash-safe store.
     ///
-    /// Every completed unit is journaled before the next begins; a run
-    /// killed at any frame boundary resumes from the journal and finishes
-    /// with a canonical report byte-identical to an uninterrupted run. A
-    /// fresh run against a warm artifact pack re-crawls but re-analyzes
-    /// nothing and re-drives no honeypot guild whose transcript it holds.
-    /// Opens the store's artifact pack and runs [`Self::run_incremental`]
-    /// over it with no validator cache.
+    /// The listing, each crawl unit and the campaign are journaled before
+    /// the next begins, and each analysis lands in the artifact pack; a run
+    /// killed at any durable write resumes from the journal and pack and
+    /// finishes with a canonical report byte-identical to an uninterrupted
+    /// run. A fresh run against a warm artifact pack re-crawls but
+    /// re-analyzes nothing and re-drives no honeypot guild whose transcript
+    /// it holds. Opens the store's artifact pack and runs the one journaled
+    /// flow over it with no validator cache.
     pub fn run_resumable(
         &self,
         eco: &Ecosystem,
@@ -371,11 +377,12 @@ impl AuditPipeline {
     ) -> Result<ResumableOutcome, AuditError> {
         let pack =
             ArtifactCache::open(store_cfg.backend.clone(), PACK_FILE).map_err(StoreError::Io)?;
-        self.run_incremental(eco, store_cfg, world_seed, 0, Arc::new(pack), None)
+        self.run_carried(eco, store_cfg, world_seed, 0, Arc::new(pack), None, None)
     }
 
-    /// Every journaled run: [`Self::run_resumable`], or a fleet tenant's
-    /// run over its held files with the conditional-fetch warm path armed.
+    /// Every journaled run: [`Self::run_resumable`], or one slice of a
+    /// fleet tenant's run over its held files with the conditional-fetch
+    /// warm path armed.
     ///
     /// The run appends to `pack`, an artifact pack already open. Given
     /// `validators`, the validator cache for this run's fingerprint
@@ -387,24 +394,14 @@ impl AuditPipeline {
     /// change feed is unreachable (a warning names that case), the crawl
     /// runs cold and is journaled unit by unit — the report is
     /// byte-identical either way.
-    pub fn run_incremental(
-        &self,
-        eco: &Ecosystem,
-        store_cfg: &StoreConfig,
-        world_seed: u64,
-        epoch: u32,
-        pack: Arc<ArtifactCache>,
-        validators: Option<Arc<ValidatorCache>>,
-    ) -> Result<ResumableOutcome, AuditError> {
-        self.run_carried(eco, store_cfg, world_seed, epoch, pack, validators, None)
-    }
-
-    /// [`Self::run_incremental`], given `carry` for one slice of a sliced
-    /// run: a crawl an earlier slice carried is reused — no change-feed
-    /// query, no crawl, no second validator commit — and a crawl this
-    /// slice completes is carried on; the slice's store counts are added to
-    /// the carried ones however it ends, and a completed run reports the
-    /// sum.
+    ///
+    /// Given `carry`, this is one slice of a sliced run: the store an
+    /// earlier slice opened is re-armed for this slice's budget instead of
+    /// reopened, and a crawl an earlier slice carried is reused — no
+    /// change-feed query, no crawl, no second validator commit. A slice
+    /// that opens the store or completes the crawl leaves it in `carry`.
+    /// Each slice publishes its own `store.*` counts; a completed run
+    /// reports its store's totals.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_carried(
         &self,
@@ -417,8 +414,27 @@ impl AuditPipeline {
         carry: Option<&mut Carry>,
     ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        let store = store_cfg.open(journal_scoped(fingerprint, eco), pack)?;
-        let crawled = carry.as_ref().is_some_and(|c| c.crawl.is_some());
+        let open = || store_cfg.open(journal_scoped(fingerprint, eco), pack);
+        let mut own = None;
+        // A held store is re-armed for this slice's budget, and publishes
+        // only what this slice adds to its counts.
+        let (store, held, start) = match carry {
+            Some(Carry {
+                crawl,
+                store: Some(store),
+            }) => {
+                let limit = store_cfg
+                    .kill_after_frames
+                    .map(|n| store.writes().saturating_add(n));
+                store.set_kill_after(limit.unwrap_or(u64::MAX));
+                (&*store, Some(crawl), store.stats())
+            }
+            Some(Carry { crawl, store }) => {
+                (&*store.insert(open()?), Some(crawl), StoreStats::default())
+            }
+            None => (&*own.insert(open()?), None, StoreStats::default()),
+        };
+        let crawled = held.as_ref().is_some_and(|crawl| crawl.is_some());
         let inc = validators.filter(|_| !crawled).and_then(|cache| {
             let Some(changed) = fetch_changed_hrefs(
                 &eco.net,
@@ -440,41 +456,29 @@ impl AuditPipeline {
             })
         });
         let run = Journaled {
-            store: &store,
+            store,
             fingerprint,
             inc: inc.as_ref(),
         };
-        let (held, sum) = match carry {
-            Some(Carry { crawl, stats }) => (Some(crawl), Some(stats)),
-            None => (None, None),
-        };
         let report = self.run_stages(eco, Some(run), held).and_then(|report| {
             if store.lookup_unit(K_COMPLETE, 0).is_none() {
-                record(&store, K_COMPLETE, 0, Vec::new())?;
+                record(store, K_COMPLETE, 0, Vec::new())?;
             }
             Ok(report)
         });
         // Published however the slice ends, so a parked slice's work is
         // counted once, by the slice that did it.
-        let slice = store.stats();
-        for (name, value) in [
-            ("store.journal.frames_written", slice.frames_written),
-            ("store.journal.replayed", slice.frames_replayed),
-            ("store.artifacts.hits", slice.artifact_hits),
-            ("store.artifacts.misses", slice.artifact_misses),
-        ] {
-            self.obs.counter(name).add(value);
-        }
-        let store_stats = match sum {
-            Some(sum) => {
-                *sum += slice;
-                *sum
-            }
-            None => slice,
+        let end = store.stats();
+        let publish = |name: &str, count: fn(&StoreStats) -> u64| {
+            self.obs.counter(name).add(count(&end) - count(&start));
         };
+        publish("store.journal.frames_written", |s| s.frames_written);
+        publish("store.journal.replayed", |s| s.frames_replayed);
+        publish("store.artifacts.hits", |s| s.artifact_hits);
+        publish("store.artifacts.misses", |s| s.artifact_misses);
         Ok(ResumableOutcome {
             report: report?,
-            store_stats,
+            store_stats: end,
             referenced_keys: store.referenced_keys(),
         })
     }
@@ -663,9 +667,7 @@ impl AuditPipeline {
                 let mut analyze = |bot| self.audit_one(bot, gh_client, &links, &memo);
                 let audited = match run {
                     None => analyze(bot),
-                    Some(run) => {
-                        self.analyze_journaled(run, idx as u64, bot, raw, &bot_span, analyze)?
-                    }
+                    Some(run) => self.analyze_stored(run, idx, bot, raw, &bot_span, analyze)?,
                 };
                 trace_audited(&bot_span, &audited);
                 Ok::<_, AuditError>(audited)
@@ -676,46 +678,30 @@ impl AuditPipeline {
         Ok(bots)
     }
 
-    /// One bot's analysis through the artifact pack: at the journaled
-    /// address (or the one its crawled bytes hash to), a hit serves the
-    /// stored artifact and a miss runs `analyze` and stores the result.
-    /// The address is journaled once per listing index, before the lookup:
-    /// a frame the kill switch refuses stops the run before any work or
-    /// count, so each bot counts one hit or miss in the slice that
-    /// journals it, and a replayed address counts only a lost blob, as the
-    /// miss that recomputes it. A blob that does not decode is recomputed;
-    /// puts are idempotent per address, so it stays in the pack and is
-    /// recomputed on every run that meets it.
-    fn analyze_journaled(
+    /// One bot's analysis through the artifact pack, at the address its
+    /// crawled bytes hash to: a hit serves the stored artifact and a miss
+    /// runs `analyze` and stores the result. The store counts each address
+    /// once per handle and refuses a miss the kill switch has no budget
+    /// for, so a refused bot stops the run before any work or count. A blob
+    /// that does not decode is recomputed; puts are idempotent per address,
+    /// so it stays in the pack and is recomputed on every run that meets it.
+    fn analyze_stored(
         &self,
         run: Journaled<'_>,
-        idx: u64,
+        idx: usize,
         bot: CrawledBot,
         raw: Option<Vec<u8>>,
         bot_span: &Span,
         analyze: impl FnOnce(CrawledBot) -> AuditedBot,
     ) -> Result<AuditedBot, AuditError> {
         let store = run.store;
-        let journaled = store.lookup_unit(K_ANALYSIS, idx).and_then(|payload| {
-            let key = ContentHash::from_bytes(&payload);
-            if key.is_none() {
-                self.undecodable(K_ANALYSIS, idx);
-            }
-            key
-        });
-        let (key, blob) = match journaled {
-            Some(key) => (key, store.artifact_replay(&key)),
-            None => {
-                let key = match &raw {
-                    Some(bytes) => artifact_key_raw(run.fingerprint, bytes),
-                    None => artifact_key(run.fingerprint, &bot),
-                };
-                record(store, K_ANALYSIS, idx, key.0.to_vec())?;
-                (key, store.artifact_get(&key))
-            }
+        let key = match &raw {
+            Some(bytes) => artifact_key_raw(run.fingerprint, bytes),
+            None => artifact_key(run.fingerprint, &bot),
         };
+        let blob = checked(store, store.artifact_get(&key))?;
         let stored: Option<AnalysisArtifact> =
-            blob.and_then(|blob| self.decode(&blob, K_ANALYSIS, idx));
+            blob.and_then(|blob| self.decode(&blob, format_args!("analysis {idx}")));
         Ok(match stored {
             Some(AnalysisArtifact { traceability, code }) => {
                 bot_span.record("artifact_hit", 1);
@@ -775,28 +761,27 @@ impl AuditPipeline {
 
     /// The journaled payload of unit `(kind, key)`, decoded, if any.
     fn replay<T: Deserialize>(&self, store: &AuditStore, kind: u16, key: u64) -> Option<T> {
-        self.decode(&store.lookup_unit(kind, key)?, kind, key)
+        self.decode(
+            &store.lookup_unit(kind, key)?,
+            format_args!("unit {kind:#06x}/{key}"),
+        )
     }
 
-    /// Decode a journal payload or artifact blob. One that passed its CRC
-    /// but not the decoder — say, written by an older build under the same
-    /// fingerprint — is a miss: the caller recomputes and re-records the
-    /// unit, and the later frame wins on replay.
-    fn decode<T: Deserialize>(&self, bytes: &[u8], kind: u16, key: u64) -> Option<T> {
+    /// Decode a journal payload or artifact blob, named `what` in the
+    /// warning. One that passed its CRC but not the decoder — say, written
+    /// by an older build under the same fingerprint — is a miss: the caller
+    /// recomputes it, and a re-recorded unit's later frame wins on replay.
+    fn decode<T: Deserialize>(&self, bytes: &[u8], what: fmt::Arguments<'_>) -> Option<T> {
         let decoded = serde_json::from_slice(bytes).ok();
         if decoded.is_none() {
-            self.undecodable(kind, key);
+            self.obs.counter("store.journal.undecodable").incr();
+            self.obs.event(
+                Severity::Warn,
+                "store.journal",
+                format!("{what} does not decode — recomputing"),
+            );
         }
         decoded
-    }
-
-    fn undecodable(&self, kind: u16, key: u64) {
-        self.obs.counter("store.journal.undecodable").incr();
-        self.obs.event(
-            Severity::Warn,
-            "store.journal",
-            format!("unit {kind:#06x}/{key} does not decode — recomputing"),
-        );
     }
 
     /// The campaign over one substrate's sample, under a `dynamic` root
@@ -911,8 +896,10 @@ mod tests {
         let clean = pipeline()
             .run_resumable(&world(), &StoreConfig::in_memory(), 13)
             .unwrap();
-        // The campaign's frame is the last but one, before `K_COMPLETE`.
-        let budget = clean.store_stats.frames_written - 2;
+        // The campaign's frame is the last durable write but one, before
+        // `K_COMPLETE`; every analysis miss before it wrote a pack frame.
+        let stats = clean.store_stats;
+        let budget = stats.frames_written + stats.artifact_misses - 2;
         let cfg = StoreConfig::in_memory().killing_after(budget);
         let killed = pipeline();
         match killed.run_resumable(&world(), &cfg, 13).unwrap_err() {
@@ -988,10 +975,11 @@ mod tests {
             uninterrupted.report.canonical_json(),
             "resumed run must be byte-identical"
         );
-        assert!(resumed.store_stats.frames_replayed >= 20);
+        let stats = resumed.store_stats;
+        assert!(stats.frames_replayed + stats.artifact_hits >= 20);
         assert!(
             resumed.store_stats.artifact_misses < 90,
-            "resume must reuse analyses journaled before the crash"
+            "resume must reuse analyses computed before the crash"
         );
     }
 
@@ -1018,6 +1006,31 @@ mod tests {
             "no keyword scans on a warm pack"
         );
         assert_eq!(warm.report.canonical_json(), cold.report.canonical_json());
+    }
+
+    #[test]
+    fn an_analysis_blob_that_does_not_decode_is_recomputed() {
+        let clean = pipeline()
+            .run_resumable(&world(), &StoreConfig::in_memory(), 13)
+            .unwrap();
+        // Garbage at one bot's address, as an older build writing under the
+        // same fingerprint might have left it.
+        let cfg = StoreConfig::in_memory();
+        let pack = ArtifactCache::open(cfg.backend.clone(), PACK_FILE).unwrap();
+        let fingerprint = run_fingerprint(&pipeline().config, 13);
+        let key = artifact_key(fingerprint, &clean.report.bots[0].crawled);
+        pack.put(key, b"\xffnot an analysis").unwrap();
+        drop(pack);
+
+        let garbled = pipeline();
+        let outcome = garbled.run_resumable(&world(), &cfg, 13).unwrap();
+        assert_eq!(
+            outcome.report.canonical_json(),
+            clean.report.canonical_json()
+        );
+        assert_eq!(garbled.obs().counter_value("store.journal.undecodable"), 1);
+        let stats = outcome.store_stats;
+        assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 89));
     }
 
     #[test]
@@ -1176,13 +1189,14 @@ mod tests {
             ValidatorCache::open(store.backend.clone(), run_fingerprint(&config, 13)).unwrap();
         let incremental = AuditPipeline::new(config);
         incremental
-            .run_incremental(
+            .run_carried(
                 &world(),
                 &store,
                 13,
                 1,
                 Arc::new(pack),
                 Some(Arc::new(cache)),
+                None,
             )
             .unwrap();
         assert!(warned(&incremental), "a cache whose feed is down is named");

@@ -16,8 +16,8 @@ use store::{ArtifactCache, ContentHash, StoreStats, ValidatorCache};
 /// [`AuditBuilder::into_job`](crate::AuditBuilder::into_job).
 pub struct AuditJob {
     audit: Audit,
-    /// The run a parked slice left: its world and crawl, which the journal
-    /// does not carry. Set only while a sliced job is parked.
+    /// The run a parked slice left: its world, crawl and open store. Set
+    /// only while a sliced job is parked.
     held: Option<HeldRun>,
 }
 

@@ -17,8 +17,8 @@
 //!    dispatch order documented on [`JobSpec`], letting the executor
 //!    **park** a job at a pipeline-stage boundary ([`StepResult::Parked`],
 //!    counted under `sched.parked`): the job returns to the front of its
-//!    tenant's queue and resumes — [`ExecCtx::resuming`] — on a later
-//!    tick.
+//!    tenant's queue, and a later tick dispatches it again to resume from
+//!    whatever its payload holds.
 //!
 //! [`Daemon::drain_all`] is the one-shot batch variant (everything
 //! queued, no expiry, no fairness bound, no slicing) that serves a
@@ -129,9 +129,9 @@ pub struct DaemonConfig {
     /// [`Daemon::drain_all`] dispatch order.
     pub quantum: u32,
     /// When set, `Batch`-lane jobs run in cooperative slices of at most
-    /// this many journal frames: the executor is handed the bound via
-    /// [`ExecCtx::slice_frames`] and parks the job at the next frame
-    /// boundary past it. `None` runs every job to completion.
+    /// this many durable writes: the executor is handed the bound via
+    /// [`ExecCtx::slice_frames`] and parks the job before the write past
+    /// it. `None` runs every job to completion.
     pub batch_slice_frames: Option<u64>,
 }
 
@@ -150,13 +150,10 @@ impl Default for DaemonConfig {
 /// Per-dispatch context handed to the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCtx {
-    /// True when this job previously parked: the executor should resume
-    /// from its journal rather than start fresh.
-    pub resuming: bool,
-    /// Cooperative-preemption budget for this dispatch, in journal
-    /// frames. `None` means run to completion; `Some(n)` asks the
-    /// executor to park ([`StepResult::Parked`]) at the first frame
-    /// boundary after writing `n` frames.
+    /// Cooperative-preemption budget for this dispatch, in durable writes
+    /// (the executor's journal frames and pack frames). `None` means run
+    /// to completion; `Some(n)` asks the executor to park
+    /// ([`StepResult::Parked`]) before a write past the `n`th.
     pub slice_frames: Option<u64>,
 }
 
@@ -166,8 +163,8 @@ pub enum StepResult<T> {
     /// The job ran to completion with this output.
     Done(T),
     /// The job parked at a pipeline-stage boundary; it keeps its place at
-    /// the front of its tenant's queue and will be dispatched again with
-    /// [`ExecCtx::resuming`] set.
+    /// the front of its tenant's queue and will be dispatched again, with
+    /// the payload as the executor left it.
     Parked,
 }
 
@@ -651,7 +648,6 @@ impl<P: Send> Daemon<P> {
                     }
                     span.record("slices", 1);
                     let ctx = ExecCtx {
-                        resuming: job.parked,
                         slice_frames: if job.spec.lane == Lane::Batch {
                             slice_frames
                         } else {
@@ -1040,9 +1036,9 @@ mod tests {
             ..DaemonConfig::default()
         });
         d.submit(JobSpec::new("bulk").lane(Lane::Batch), 0).unwrap();
-        let order: Mutex<Vec<(u64, bool)>> = Mutex::new(Vec::new());
+        let order: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let exec = |id: JobId, spec: &JobSpec, slices: &mut u64, ctx: ExecCtx| {
-            order.lock().unwrap().push((id.0, ctx.resuming));
+            order.lock().unwrap().push(id.0);
             if spec.lane == Lane::Batch && ctx.slice_frames.is_some() {
                 *slices += 1;
                 if *slices < 3 {
@@ -1064,10 +1060,10 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                (0, false), // batch slice 1 → parks
-                (1, false), // interactive preempts the parked batch
-                (0, true),  // batch resumes
-                (0, true),  // …and completes on its third slice
+                0, // batch slice 1 → parks
+                1, // interactive preempts the parked batch
+                0, // batch resumes
+                0, // …and completes on its third slice
             ]
         );
     }

@@ -13,9 +13,9 @@
 //!   jobs with a typed reason ([`JobEvent::Expired`], `sched.expired`),
 //!   selects work by **deficit round-robin** so no tenant can starve
 //!   another (`sched.drr.*`, [`Daemon::fairness_gap`]), and supports
-//!   **cooperative preemption** — an executor may park a `Batch` job at a
-//!   journal-frame boundary ([`StepResult::Parked`], `sched.parked`) and
-//!   resume it on a later tick;
+//!   **cooperative preemption** — an executor may park a `Batch` job once
+//!   its slice budget runs out ([`StepResult::Parked`], `sched.parked`)
+//!   and resume it on a later tick;
 //! * [`JobSpec::builder`] — the validated construction path for jobs,
 //!   with the dispatch-order contract documented on [`JobSpec`] itself;
 //! * [`Lane`] — three priority lanes (interactive / standard / batch) with

@@ -11,14 +11,14 @@
 //! itself, while a long-lived owner (the fleet daemon) hands every run of a
 //! tenant the same held [`ArtifactCache`], so no run re-reads the pack.
 //! The run's artifact hit and miss counts live here too, since every
-//! per-bot lookup goes through [`AuditStore::artifact_get`] (or, for a unit
-//! replayed from the journal, [`AuditStore::artifact_replay`]).
+//! per-bot lookup goes through [`AuditStore::artifact_get`], which counts
+//! each address once per handle.
 //!
 //! The store also hosts the crash lever the resumability tests lean on:
-//! [`AuditStore::set_kill_after`] arms a frame budget, and the append that
-//! would exceed it fails with [`StoreError::Interrupted`] instead of
-//! writing — from the pipeline's point of view, the process died right
-//! there, except the test harness gets to keep the handle and resume.
+//! [`AuditStore::set_kill_after`] arms a budget of durable writes, and the
+//! write that would exceed it fails with [`StoreError::Interrupted`] — from
+//! the pipeline's point of view, the process died right there, except the
+//! test harness gets to keep the handle and resume.
 
 use crate::backend::Backend;
 use crate::cache::ArtifactCache;
@@ -42,7 +42,7 @@ pub const K_RUN_HEADER: u16 = 0x0001;
 /// Store operation failure.
 #[derive(Debug)]
 pub enum StoreError {
-    /// The armed kill switch fired: the frame was *not* written.
+    /// The armed kill switch fired: the write was *not* made.
     Interrupted,
     /// The backend failed.
     Io(io::Error),
@@ -66,26 +66,16 @@ impl From<io::Error> for StoreError {
 }
 
 /// Durability counters, reported alongside the pipeline's cache stats.
-/// A run resumed slice after slice sums its handles' counters with `+=`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Frames appended to the journal by this handle.
     pub frames_written: u64,
     /// Frames recovered from the journal at open.
     pub frames_replayed: u64,
-    /// Artifact lookups served from the pack.
+    /// Artifact addresses served from the pack.
     pub artifact_hits: u64,
-    /// Artifact lookups that missed (and were computed + stored).
+    /// Artifact addresses that missed (and were computed + stored).
     pub artifact_misses: u64,
-}
-
-impl std::ops::AddAssign for StoreStats {
-    fn add_assign(&mut self, other: StoreStats) {
-        self.frames_written += other.frames_written;
-        self.frames_replayed += other.frames_replayed;
-        self.artifact_hits += other.artifact_hits;
-        self.artifact_misses += other.artifact_misses;
-    }
 }
 
 /// Journal + artifact cache, scoped to one run fingerprint.
@@ -98,15 +88,14 @@ pub struct AuditStore {
     /// Every artifact address this handle touched (get, peek, or put) —
     /// the liveness census longitudinal compaction keeps per epoch.
     touched: Mutex<BTreeSet<ContentHash>>,
-    /// [`Self::artifact_get`] lookups that found a blob, and that did not
-    /// (with the [`Self::artifact_replay`] lookups that did not).
+    /// Addresses [`Self::artifact_get`] counted, found and not found.
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
-    /// Appends allowed before [`StoreError::Interrupted`]; `u64::MAX` = off.
+    /// Durable writes allowed before [`StoreError::Interrupted`]; `u64::MAX` = off.
     kill_after: AtomicU64,
-    /// Held across the kill-switch check and the append, so concurrent
-    /// workers can never overshoot the armed budget.
-    record_lock: Mutex<()>,
+    /// Addresses [`Self::artifact_get`] counted. Held across the kill-switch
+    /// check and the write, so concurrent workers never overshoot the budget.
+    counted: Mutex<BTreeSet<ContentHash>>,
 }
 
 impl AuditStore {
@@ -140,7 +129,7 @@ impl AuditStore {
             artifact_hits: AtomicU64::new(0),
             artifact_misses: AtomicU64::new(0),
             kill_after: AtomicU64::new(u64::MAX),
-            record_lock: Mutex::new(()),
+            counted: Mutex::new(BTreeSet::new()),
         })
     }
 
@@ -158,7 +147,7 @@ impl AuditStore {
     /// armed budget is exhausted, nothing is written and the caller sees
     /// [`StoreError::Interrupted`] — the simulated crash point.
     pub fn record_unit(&self, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), StoreError> {
-        let _serial = self.record_lock.lock().expect("record lock");
+        let _serial = self.counted.lock().expect("record lock");
         if self.budget_spent() {
             return Err(StoreError::Interrupted);
         }
@@ -170,35 +159,37 @@ impl AuditStore {
         Ok(())
     }
 
-    /// Whether the armed kill switch would refuse the next
-    /// [`Self::record_unit`]: a caller about to start work whose frame
-    /// cannot land checks this first and stops before the work.
+    /// Whether the armed kill switch would refuse the next durable write: a
+    /// caller about to start work whose write cannot land checks this first
+    /// and stops before the work.
     pub fn budget_spent(&self) -> bool {
-        self.journal.frames_written() >= self.kill_after.load(Ordering::Relaxed)
+        self.writes() >= self.kill_after.load(Ordering::Relaxed)
     }
 
-    /// Look up an analysis artifact by content address, counting a hit or
-    /// a miss.
-    pub fn artifact_get(&self, hash: &ContentHash) -> Option<Vec<u8>> {
-        let found = self.artifact_peek(hash);
-        let counter = match found {
-            Some(_) => &self.artifact_hits,
-            None => &self.artifact_misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+    /// Durable writes through this handle, what the kill switch counts:
+    /// its journal frames, plus one pack frame per analysis miss.
+    pub fn writes(&self) -> u64 {
+        self.journal.frames_written() + self.artifact_misses.load(Ordering::Relaxed)
     }
 
-    /// Look up the artifact a replayed journal unit names. The unit's
-    /// lookup was counted by the handle that journaled it, so a blob found
-    /// counts nothing here; a missing one counts a miss, since the caller
-    /// recomputes it.
-    pub fn artifact_replay(&self, hash: &ContentHash) -> Option<Vec<u8>> {
+    /// Look up an analysis artifact by content address. The first lookup of
+    /// an address counts a hit or a miss, later ones nothing. A miss owes the
+    /// pack frame of its computed artifact, so once the armed budget is spent
+    /// it is refused with [`StoreError::Interrupted`], uncounted, before the
+    /// caller does the work; a hit writes nothing and is always served.
+    pub fn artifact_get(&self, hash: &ContentHash) -> Result<Option<Vec<u8>>, StoreError> {
         let found = self.artifact_peek(hash);
-        if found.is_none() {
-            self.artifact_misses.fetch_add(1, Ordering::Relaxed);
+        let mut counted = self.counted.lock().expect("record lock");
+        if !counted.contains(hash) {
+            let counter = match found {
+                Some(_) => &self.artifact_hits,
+                None if self.budget_spent() => return Err(StoreError::Interrupted),
+                None => &self.artifact_misses,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            counted.insert(*hash);
         }
-        found
+        Ok(found)
     }
 
     /// Look up an artifact without counting a hit or miss — for side caches
@@ -210,9 +201,9 @@ impl AuditStore {
         self.artifacts.get(hash)
     }
 
-    /// Store an analysis artifact (idempotent, not subject to the kill
-    /// switch — artifacts are pure content, the journal is the commit
-    /// point).
+    /// Store an artifact (idempotent, not subject to the kill switch — an
+    /// analysis's pack frame was budgeted by the miss that owes it, and
+    /// guild transcripts are performance state).
     pub fn artifact_put(&self, hash: ContentHash, blob: &[u8]) -> Result<(), StoreError> {
         self.touch(&hash);
         Ok(self.artifacts.put(hash, blob)?)
@@ -223,9 +214,12 @@ impl AuditStore {
     }
 
     /// Every artifact address this handle referenced, sorted and
-    /// deduplicated. A run that completes through one handle therefore
-    /// reports the full set of pack keys it depends on — what the epoch
-    /// chain records so generational compaction never drops a live blob.
+    /// deduplicated. A fleet run completes through the one handle it
+    /// opened, however many slices it takes, so this is the full set of
+    /// pack keys it depends on — what the epoch chain records so
+    /// generational compaction never drops a live blob. (A handle that
+    /// replays a journaled campaign references none of its guild
+    /// transcripts.)
     pub fn referenced_keys(&self) -> Vec<ContentHash> {
         self.touched
             .lock()
@@ -235,12 +229,13 @@ impl AuditStore {
             .collect()
     }
 
-    /// Allow `frames` more journal appends, then fail with
-    /// [`StoreError::Interrupted`]. The budget counts appends made through
-    /// this handle (the header frame of a fresh store has already spent
-    /// one by the time a caller can arm the switch).
-    pub fn set_kill_after(&self, frames: u64) {
-        self.kill_after.store(frames, Ordering::Relaxed);
+    /// Allow durable writes through this handle ([`Self::writes`]) up to
+    /// `writes`, then fail with [`StoreError::Interrupted`]. The header
+    /// frame of a fresh store has already spent one by the time a caller
+    /// can arm the switch; a handle held across slices re-arms it past
+    /// what it has spent. `u64::MAX` disarms it.
+    pub fn set_kill_after(&self, writes: u64) {
+        self.kill_after.store(writes, Ordering::Relaxed);
     }
 
     /// Durability counters.
@@ -352,6 +347,33 @@ mod tests {
     }
 
     #[test]
+    fn kill_switch_budget_holds_under_concurrent_misses_and_records() {
+        let store = Arc::new(open(mem(), 5, false));
+        store.set_kill_after(100);
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let workers: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (store, start) = (store.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..50u64 {
+                        let key = t * 100 + i;
+                        let _ = store.record_unit(3, key, vec![0; 8]);
+                        let _ = store.artifact_get(&ContentHash::of(&key.to_le_bytes()));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker thread panicked");
+        }
+        let stats = store.stats();
+        assert_eq!(store.writes(), 100, "budget overshot");
+        assert_eq!(stats.frames_written + stats.artifact_misses, 100);
+        assert!(stats.artifact_misses > 0 && stats.frames_written > 1);
+    }
+
+    #[test]
     fn artifacts_survive_fresh_journal() {
         let backend = mem();
         let store = open(backend.clone(), 7, false);
@@ -362,7 +384,7 @@ mod tests {
         // Fresh (non-resume) run: journal empty, pack warm.
         let store = open(backend, 7, false);
         assert_eq!(
-            store.artifact_get(&h).as_deref(),
+            store.artifact_get(&h).unwrap().as_deref(),
             Some(&b"analysis blob"[..])
         );
         assert_eq!(store.stats().artifact_hits, 1);
@@ -372,30 +394,55 @@ mod tests {
     fn only_artifact_get_counts_hits_and_misses() {
         let store = open(mem(), 7, false);
         let h = ContentHash::of(b"input");
-        assert_eq!(store.artifact_get(&h), None);
+        let warm = ContentHash::of(b"warm");
+        assert_eq!(store.artifact_get(&h).unwrap(), None);
         store.artifact_put(h, b"blob").unwrap();
         store.artifact_put(h, b"blob").unwrap();
+        store.artifact_put(warm, b"blob").unwrap();
         assert!(store.artifact_peek(&h).is_some());
         assert!(store.artifact_peek(&ContentHash::of(b"absent")).is_none());
-        assert_eq!(store.artifact_get(&h).as_deref(), Some(&b"blob"[..]));
+        assert_eq!(
+            store.artifact_get(&warm).unwrap().as_deref(),
+            Some(&b"blob"[..])
+        );
         let stats = store.stats();
         assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 1));
     }
 
     #[test]
-    fn a_replayed_unit_counts_only_a_missing_blob() {
+    fn an_address_counts_once_and_only_a_miss_spends_budget() {
         let store = open(mem(), 7, false);
-        let stored = ContentHash::of(b"journaled and stored");
-        let lost = ContentHash::of(b"journaled, blob lost");
-        store.artifact_put(stored, b"blob").unwrap();
-        assert_eq!(
-            store.artifact_replay(&stored).as_deref(),
-            Some(&b"blob"[..])
+        let (warm, cold, refused) = (
+            ContentHash::of(b"warm"),
+            ContentHash::of(b"cold"),
+            ContentHash::of(b"refused"),
         );
-        assert_eq!(store.artifact_replay(&lost), None);
+        store.artifact_put(warm, b"blob").unwrap();
+        store.set_kill_after(2); // the header spent one: one miss fits
+        assert_eq!(store.artifact_get(&cold).unwrap(), None);
+        assert_eq!(store.writes(), 2, "a miss owes its pack frame");
+        // Counted once: a second lookup neither counts nor is refused.
+        assert_eq!(store.artifact_get(&cold).unwrap(), None);
+        assert!(matches!(
+            store.artifact_get(&refused),
+            Err(StoreError::Interrupted)
+        ));
+        // A hit writes nothing, so a spent budget still serves it.
+        for _ in 0..2 {
+            assert_eq!(
+                store.artifact_get(&warm).unwrap().as_deref(),
+                Some(&b"blob"[..])
+            );
+        }
         let stats = store.stats();
-        assert_eq!((stats.artifact_hits, stats.artifact_misses), (0, 1));
-        assert_eq!(store.referenced_keys().len(), 2, "replays are referenced");
+        assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 1));
+        assert_eq!((store.writes(), stats.frames_written), (2, 1));
+
+        // The refused miss was not counted: re-armed, it counts now.
+        store.set_kill_after(store.writes() + 1);
+        assert_eq!(store.artifact_get(&refused).unwrap(), None);
+        assert_eq!(store.stats().artifact_misses, 2);
+        assert!(store.budget_spent());
     }
 
     #[test]
@@ -410,10 +457,6 @@ mod tests {
             store.record_unit(3, 1, b"b".to_vec()),
             Err(StoreError::Interrupted)
         ));
-
-        let mut sum = store.stats();
-        sum += store.stats();
-        assert_eq!(sum.frames_written, 4, "slices sum with +=");
     }
 
     #[test]
@@ -426,13 +469,13 @@ mod tests {
         let missed = ContentHash::of(b"absent");
         store.artifact_put(hit, b"warm blob").unwrap();
         store.artifact_put(put, b"fresh blob").unwrap();
-        assert!(store.artifact_get(&hit).is_some());
+        assert!(store.artifact_get(&hit).unwrap().is_some());
         assert!(store.artifact_peek(&peeked).is_none());
-        assert!(store.artifact_get(&missed).is_none());
+        assert!(store.artifact_get(&missed).unwrap().is_none());
         // Gets, peeks, and puts all count — even ones that missed, since a
         // miss that is then computed + put resolves to the same address —
         // and repeats deduplicate.
-        assert!(store.artifact_get(&hit).is_some());
+        assert!(store.artifact_get(&hit).unwrap().is_some());
         let keys = store.referenced_keys();
         let mut expected = vec![put, hit, peeked, missed];
         expected.sort();

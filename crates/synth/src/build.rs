@@ -55,6 +55,9 @@ pub struct Ecosystem {
     pub truth: GroundTruth,
     /// The umbrella account that owns every registered application.
     pub app_owner: UserId,
+    /// How this world was built, as text: its [`EcosystemConfig`] and the
+    /// drift config and epoch, if any. Equal identities mount equal worlds.
+    pub identity: String,
 }
 
 /// Map a planned Discord-style permission intent onto the Telegram model:
@@ -111,14 +114,15 @@ pub fn telegram_username(name: &str) -> String {
 
 /// Build the world.
 pub fn build_ecosystem(config: &EcosystemConfig) -> Ecosystem {
-    mount_world(&crate::plan::plan_world(config), config)
+    let id = format!("{config:?}");
+    mount_world(&crate::plan::plan_world(config), config, id)
 }
 
-/// Materialise a (possibly drifted) plan into a mounted world. Consumes no
-/// randomness: two mounts of the same plan are byte-identical, and bots the
-/// drift layer left alone serve exactly the same crawl bytes in every
-/// epoch.
-pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig) -> Ecosystem {
+/// Materialise a (possibly drifted) plan into a mounted world whose
+/// [`Ecosystem::identity`] is `id`. Consumes no randomness: two mounts of
+/// the same plan are byte-identical, and bots the drift layer left alone
+/// serve exactly the same crawl bytes in every epoch.
+pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig, id: String) -> Ecosystem {
     let clock = VirtualClock::new();
     let net = Network::with_clock(config.seed ^ 0x6e65_7473_696d, clock.clone());
     let platform = Platform::new(clock.clone());
@@ -244,6 +248,7 @@ pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig) -> Ecosyst
         github,
         truth,
         app_owner,
+        identity: id,
     }
 }
 

@@ -159,7 +159,8 @@ pub fn build_ecosystem_at(
     for step in 1..=epoch {
         log.push(drift_epoch(&mut plan, config, drift, step));
     }
-    let eco = mount_world(&plan, config);
+    let id = format!("{config:?}|{drift:?}|epoch={epoch}");
+    let eco = mount_world(&plan, config, id);
     // Publish the crawl-visible ledger through the listing site's
     // `/changed` endpoint, so conditional-fetch crawlers can cross-check
     // their validators against what actually moved.

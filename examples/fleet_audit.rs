@@ -76,7 +76,7 @@ fn main() {
             .expect("valid spec");
         handles.push(daemon.submit(spec, job(seed, 0)).expect("queue has room"));
     }
-    // Generous horizon: the batch tenant's audit is sliced into 8-frame
+    // Generous horizon: the batch tenant's audit is sliced into 8-write
     // chunks (cooperative preemption), so it needs a few dozen ticks.
     let horizon = daemon.clock().now_millis() + 400;
     daemon.run_until(horizon);
@@ -108,10 +108,10 @@ fn main() {
         let outcome = daemon.resolve(handle).expect("re-audit settled");
         outcome.report.as_ref().expect("re-audit completes");
         let delta: &DeltaReport = outcome.delta.as_ref().expect("epoch 1 diffs epoch 0");
-        // For a sliced batch audit the counters describe the final
-        // slice, which replays earlier slices' work as warm hits.
+        // A sliced batch audit counts every analysis once, through the
+        // store its slices share.
         println!(
-            "  {:<10} warm pack/journal served {}/{} analyses; {} recomputed",
+            "  {:<10} warm pack served {}/{} analyses; {} recomputed",
             outcome.tenant,
             outcome.artifact_hits,
             outcome.artifact_hits + outcome.artifact_misses,

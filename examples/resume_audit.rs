@@ -6,10 +6,11 @@
 //! ```
 //!
 //! The pipeline journals every completed unit of work (listing traversal,
-//! 32-listing crawl chunks, per-bot analyses, the honeypot campaign) to a
-//! write-ahead log, and stores analysis outputs in a content-addressed
-//! artifact pack. A resumed run replays the journal, skips everything that
-//! is already durable, and finishes the rest.
+//! 32-listing crawl chunks, the honeypot campaign) to a write-ahead log,
+//! and stores each bot's analysis in a content-addressed artifact pack at
+//! the address its crawled bytes hash to. A resumed run replays the
+//! journal, serves every analysis already in the pack, and finishes the
+//! rest.
 
 use chatbot_audit::{AuditConfig, AuditError, AuditPipeline, StoreConfig};
 use std::sync::Arc;
@@ -46,10 +47,11 @@ fn main() {
         reference.store_stats.frames_written, reference.store_stats.artifact_misses
     );
 
-    // Crash: same run on a persistent backend, killed after 40 frames.
-    // (MemBackend keeps this example hermetic; swap in
+    // Crash: same run on a persistent backend, killed after 40 durable
+    // writes (journal frames, plus the pack frame each computed analysis
+    // writes). (MemBackend keeps this example hermetic; swap in
     // `StoreConfig::on_disk(path)` to survive a real process kill.)
-    println!("[2/3] crash: kill switch armed at 40 journal frames");
+    println!("[2/3] crash: kill switch armed at 40 durable writes");
     let backend = Arc::new(MemBackend::new());
     let killed = StoreConfig {
         backend: backend.clone(),
@@ -58,7 +60,7 @@ fn main() {
     };
     match AuditPipeline::new(config()).run_resumable(&world(), &killed, SEED) {
         Err(AuditError::Interrupted { frames_written }) => {
-            println!("      interrupted with {frames_written} durable frames on disk\n");
+            println!("      interrupted with {frames_written} durable writes on disk\n");
         }
         other => panic!("expected an interrupt, got {other:?}"),
     }
@@ -74,10 +76,9 @@ fn main() {
     let resumed = AuditPipeline::new(config())
         .run_resumable(&world(), &resumed_store, SEED)
         .expect("resumed run completes");
-    // Analyses journaled before the crash replay with their frames; the
-    // pack counts a hit only for a bot this run journals itself.
+    // Analyses computed before the crash are served from the pack.
     println!(
-        "      replayed {} frames, served {} more analyses from the pack, computed {} fresh",
+        "      replayed {} frames, served {} analyses from the pack, computed {} fresh",
         resumed.store_stats.frames_replayed,
         resumed.store_stats.artifact_hits,
         resumed.store_stats.artifact_misses,

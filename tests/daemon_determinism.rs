@@ -18,10 +18,11 @@
 //!    pack its parked predecessor was still writing.
 //! 4. A sliced, parked-and-resumed batch audit produces a report
 //!    byte-identical to the unsliced shutdown drain.
-//! 5. A parked batch audit resumes from the world and crawl its job holds:
-//!    at every slice budget, and through a shutdown drain, a re-audit
-//!    settles with the unsliced report, artifact counts, crawl requests
-//!    and campaign, on Discord and on Telegram.
+//! 5. A parked batch audit resumes from the world, crawl and store its job
+//!    holds: at every slice budget, and through a shutdown drain, a
+//!    re-audit settles with the unsliced report, artifact counts, crawl
+//!    requests, campaign and chain record, and the next epoch reuses every
+//!    guild after compaction, on Discord and on Telegram.
 
 use chatbot_audit::{Audit, AuditJob, ErrorKind, FleetDaemon, FleetDaemonConfig, ShutdownMode};
 use netsim::{Clock, SimDuration, VirtualClock};
@@ -50,7 +51,7 @@ fn daemon_config(workers: usize) -> FleetDaemonConfig {
     FleetDaemonConfig {
         workers,
         quantum: 1,
-        batch_slice_frames: Some(6),
+        batch_slice_frames: Some(4),
         tick_ms: 10,
         ..FleetDaemonConfig::default()
     }
@@ -255,8 +256,8 @@ fn sliced_batch_audit_matches_legacy_unsliced_drain_byte_for_byte() {
         .report
         .expect("unsliced audit completes");
 
-    // Daemon with an aggressive 4-frame slice: the same audit parks and
-    // resumes from its journal many times.
+    // Daemon with an aggressive 4-write slice: the same audit parks and
+    // resumes from the store its job holds many times.
     let daemon = FleetDaemon::new(FleetDaemonConfig {
         batch_slice_frames: Some(4),
         ..daemon_config(1)
@@ -292,17 +293,19 @@ fn sliced_batch_audit_matches_legacy_unsliced_drain_byte_for_byte() {
 enum Slicing {
     /// No slice budget: the job runs in one dispatch.
     Unsliced,
-    /// Sliced at this many frames and ticked until it settles.
+    /// Sliced at this many durable writes and ticked until it settles.
     Budget(u64),
-    /// Sliced at 6 frames, parked on this many ticks, then finished by a
-    /// shutdown drain.
+    /// Sliced at 2 durable writes, parked on this many ticks, then
+    /// finished by a shutdown drain.
     DrainAfter(u32),
 }
 
 /// What a re-audit settled with: its report, the outcome's artifact hits
 /// and misses, the registry's, the `crawl.validated` and
-/// `crawl.fetched_full` requests it made, and the honeypot guilds it
-/// reused and messages it posted (a campaign run twice shows in both).
+/// `crawl.fetched_full` requests it made, the honeypot guilds it reused
+/// and messages it posted (a campaign run twice shows in both), and the
+/// artifact keys its chain record pins — then how many guilds the next
+/// epoch reuses once compaction keeps only those keys.
 #[derive(Debug, PartialEq)]
 struct Reaudit {
     report: String,
@@ -310,6 +313,8 @@ struct Reaudit {
     registry_counts: (u64, u64),
     crawl: (u64, u64),
     honeypot: (u64, u64),
+    artifact_keys: Vec<String>,
+    next_epoch_guilds_reused: u64,
 }
 
 /// A tenant's epoch-0 audit, then its epoch-3 re-audit as a batch job run
@@ -328,14 +333,16 @@ fn reaudit(platform: PlatformKind, obs: &Obs, slicing: Slicing) -> Reaudit {
             .into_job()
             .expect("valid job")
     };
-    let daemon = FleetDaemon::new(FleetDaemonConfig {
+    let config = FleetDaemonConfig {
         batch_slice_frames: match slicing {
             Slicing::Unsliced => None,
             Slicing::Budget(frames) => Some(frames),
-            Slicing::DrainAfter(_) => Some(6),
+            Slicing::DrainAfter(_) => Some(2),
         },
         ..daemon_config(1)
-    });
+    };
+    let root = Arc::new(MemBackend::new());
+    let daemon = FleetDaemon::with_backend(config, root.clone());
     daemon
         .submit(JobSpec::new("acme"), job(0))
         .expect("admitted");
@@ -359,25 +366,42 @@ fn reaudit(platform: PlatformKind, obs: &Obs, slicing: Slicing) -> Reaudit {
         .expect("valid spec");
     let handle = daemon.submit(batch, job(3)).expect("admitted");
     let parked = |daemon: &FleetDaemon| daemon.obs().counter_value("sched.parked");
-    let outcome = match slicing {
+    let (outcome, daemon) = match slicing {
         Slicing::DrainAfter(ticks) => {
             for _ in 0..ticks {
                 assert!(daemon.tick().is_empty(), "{slicing:?}: the slice parks");
                 daemon.clock().advance(SimDuration::from_millis(10));
             }
             assert_eq!(parked(&daemon), u64::from(ticks), "{slicing:?}");
-            daemon.shutdown(ShutdownMode::Drain).outcomes.pop()
+            let outcome = daemon.shutdown(ShutdownMode::Drain).outcomes.pop();
+            // A drain ends the daemon: restart one over the same files.
+            (outcome, FleetDaemon::with_backend(config, root))
         }
         _ => {
             daemon.run_until(daemon.clock().now_millis() + 2_000);
             let sliced = matches!(slicing, Slicing::Budget(_));
             assert_eq!(parked(&daemon) > 0, sliced, "{slicing:?}");
-            daemon.resolve(handle)
+            (daemon.resolve(handle), daemon)
         }
-    }
-    .expect("the re-audit settles");
+    };
+    let outcome = outcome.expect("the re-audit settles");
     let after = counters();
     let delta = |i: usize| after[i] - before[i];
+    let record = daemon
+        .history("acme")
+        .expect("history reads")
+        .pop()
+        .expect("the re-audit committed");
+    assert_eq!(record.epoch, 3);
+
+    // Compaction keeps only the re-audit's keys; the next epoch must find
+    // every guild transcript among them.
+    daemon.compact_tenant("acme", 1).expect("compacts");
+    daemon
+        .submit(JobSpec::new("acme"), job(4))
+        .expect("admitted");
+    daemon.run_until(daemon.clock().now_millis() + 2_000);
+    assert_eq!(daemon.queued(), 0, "epoch 4 settled");
     Reaudit {
         report: serde_json::to_string(&outcome.report.expect("the re-audit completes"))
             .expect("report serializes"),
@@ -385,6 +409,8 @@ fn reaudit(platform: PlatformKind, obs: &Obs, slicing: Slicing) -> Reaudit {
         registry_counts: (delta(0), delta(1)),
         crawl: (delta(2), delta(3)),
         honeypot: (delta(4), delta(5)),
+        artifact_keys: record.artifact_keys,
+        next_epoch_guilds_reused: obs.counter_value("honeypot.guilds_reused") - after[4],
     }
 }
 
@@ -400,6 +426,10 @@ fn parked_batch_reaudits_resume_from_their_held_world_and_crawl() {
         assert!(
             unsliced.crawl.0 > 0,
             "{platform}: a warm re-audit validates"
+        );
+        assert_eq!(
+            unsliced.next_epoch_guilds_reused, 4,
+            "{platform}: the next epoch reuses every guild after compaction"
         );
         let sweep = (1..=8)
             .map(Slicing::Budget)

@@ -235,7 +235,7 @@ fn short_reads_cost_rework_never_correctness() {
 
 #[test]
 fn undecodable_frames_are_recomputed_not_fatal() {
-    use chatbot_audit::{K_ANALYSIS, K_CRAWL_UNIT, K_HONEYPOT, K_LISTING};
+    use chatbot_audit::{K_CRAWL_UNIT, K_HONEYPOT, K_LISTING};
     let baseline = AuditPipeline::new(small_config())
         .run_resumable(&small_world(2022), &StoreConfig::in_memory(), 2022)
         .expect("clean run completes")
@@ -256,7 +256,7 @@ fn undecodable_frames_are_recomputed_not_fatal() {
     // frames win on replay, so each shadows whatever unit was recorded
     // under its key before it.
     let (journal, _) = Journal::open(backend.clone(), JOURNAL_FILE).unwrap();
-    for kind in [K_LISTING, K_CRAWL_UNIT, K_ANALYSIS, K_HONEYPOT] {
+    for kind in [K_LISTING, K_CRAWL_UNIT, K_HONEYPOT] {
         journal.append(kind, 0, b"\xffnot a unit".to_vec()).unwrap();
     }
     drop(journal);
@@ -271,7 +271,7 @@ fn undecodable_frames_are_recomputed_not_fatal() {
         .run_resumable(&small_world(2022), &resumed, 2022)
         .expect("undecodable frames are recomputed, not fatal");
     assert_eq!(outcome.report.canonical_json(), baseline);
-    assert_eq!(pipeline.obs().counter_value("store.journal.undecodable"), 4);
+    assert_eq!(pipeline.obs().counter_value("store.journal.undecodable"), 3);
 }
 
 #[test]
@@ -308,7 +308,7 @@ fn flaky_network_and_resume_compose() {
         second.report.canonical_json()
     );
     assert!(
-        first.store_stats.frames_replayed >= 30,
+        first.store_stats.frames_replayed + first.store_stats.artifact_hits >= 30,
         "durable progress was reused"
     );
 }
