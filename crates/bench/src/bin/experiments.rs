@@ -4,7 +4,7 @@
 //! experiments [--scale N] [--seed S] [--honeypot-sample K] [--json PATH]
 //!             [--markdown PATH] [--only fig3|table1|table2|table3|honeypot]
 //!             [--enforced] [--workers N] [--bench-json PATH]
-//!             [--store-dir DIR] [--resume] [--kill-after-frames N]
+//!             [--store-dir DIR] [--kill-after-frames N]
 //!             [--store-bench-json PATH] [--obs-bench-json PATH]
 //!             [--sched-bench-json PATH] [--oplog-bench-json PATH]
 //! ```
@@ -13,12 +13,14 @@
 //! honeypot bots). Output is paper-vs-measured for every reported number.
 //!
 //! With `--store-dir` the pipeline runs through the crash-safe audit store:
-//! completed work is journaled to `DIR` and analysis outputs land in a
-//! content-addressed pack, so `--resume` continues a killed run and a warm
-//! pack skips every unchanged analysis. `--kill-after-frames N` arms the
-//! deterministic kill switch after N durable writes, journal and pack
-//! frames alike (for crash drills); `--store-bench-json` measures cold vs
-//! warm vs resumed wall time.
+//! every crawled page's validator lands in `DIR/validators.wal`, and each
+//! analysis and honeypot guild transcript in the content-addressed
+//! `DIR/artifacts.pack`, so a rerun over the same `DIR` continues a killed
+//! run, and a rerun over a complete one fetches no unchanged page's body
+//! and skips every unchanged analysis. `--kill-after-frames N` arms the
+//! deterministic kill switch after N durable pack writes (for crash
+//! drills); `--store-bench-json` measures what a cold run and each kind of
+//! rerun cost.
 
 use bench::{render_comparisons, Comparison};
 use chatbot_audit::{
@@ -41,7 +43,6 @@ struct Args {
     workers: usize,
     bench_json: Option<String>,
     store_dir: Option<String>,
-    resume: bool,
     kill_after_frames: Option<u64>,
     store_bench_json: Option<String>,
     obs_bench_json: Option<String>,
@@ -63,7 +64,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         workers: 1,
         bench_json: None,
         store_dir: None,
-        resume: false,
         kill_after_frames: None,
         store_bench_json: None,
         obs_bench_json: None,
@@ -88,7 +88,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workers" => args.workers = number(flag, value()?)?,
             "--bench-json" => args.bench_json = Some(value()?),
             "--store-dir" => args.store_dir = Some(value()?),
-            "--resume" => args.resume = true,
             "--kill-after-frames" => args.kill_after_frames = Some(number(flag, value()?)?),
             "--store-bench-json" => args.store_bench_json = Some(value()?),
             "--obs-bench-json" => args.obs_bench_json = Some(value()?),
@@ -139,7 +138,7 @@ fn caches_line(obs: &Obs) -> String {
         "caches: link cache {} hits / {} misses | policy memo {} hits / {} misses | \
          kernels: policy automaton {} states, {} passes, {} bytes | \
          code automaton {} states, {} passes, {} bytes | \
-         journal {} written / {} replayed | artifact pack {} hits / {} misses",
+         validators {} revalidated / {} fetched in full | artifact pack {} hits / {} misses",
         c("analysis.link_cache.hits"),
         c("analysis.link_cache.misses"),
         c("analysis.policy_memo.hits"),
@@ -150,8 +149,8 @@ fn caches_line(obs: &Obs) -> String {
         obs.gauge_value("code.automaton_states"),
         c("code.scan_passes"),
         c("code.bytes_scanned"),
-        c("store.journal.frames_written"),
-        c("store.journal.replayed"),
+        c("crawl.validated"),
+        c("crawl.fetched_full"),
         c("store.artifacts.hits"),
         c("store.artifacts.misses"),
     )
@@ -278,23 +277,39 @@ fn parallel_bench(args: &Args, path: &str) {
     eprintln!("wrote {path}");
 }
 
-/// Measure what the audit store buys: a cold run (empty store), a warm run
-/// (fresh journal over a warm artifact pack — re-crawl but zero
-/// re-analysis and no re-driven honeypot guild), a pure replay (resuming an
-/// already-complete journal), and a crash-at-half-writes resume on an
-/// emptied store. All five runs must agree byte-for-byte.
+/// Measure what a rerun over a store costs: a cold run (empty store), a
+/// warm rerun over the complete store (no page body fetched, no analysis
+/// computed, no honeypot guild re-driven), a kill at half the durable pack
+/// writes of an emptied store and its rerun, and a crawl-stage crash — the
+/// cold run's `validators.wal` cut to half its frames in an emptied store —
+/// and its rerun. Every completed run must agree byte-for-byte, and each
+/// records what it paid the listing site: captchas, 304s, full fetches
+/// and 429s.
 fn store_bench(args: &Args, path: &str) {
     let dir = std::env::temp_dir().join(format!("audit-store-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create bench store dir");
     let dir_str = dir.to_string_lossy().to_string();
+    let validators = dir.join(store::VALIDATOR_FILE);
     eprintln!(
         "incremental-store bench: {} listings, store at {dir_str} …",
         args.scale
     );
 
-    // Each completed run comes back with its `honeypot.guilds_reused`.
-    let run = |resume: bool, kill: Option<u64>| -> (f64, Result<(ResumableOutcome, u64), u64>) {
+    // A completed run comes back with the counters it is judged by.
+    struct Run {
+        wall_ms: f64,
+        outcome: ResumableOutcome,
+        counters: Vec<(&'static str, u64)>,
+    }
+    const COUNTERS: [(&str, &str); 5] = [
+        ("honeypot_guilds_reused", "honeypot.guilds_reused"),
+        ("captchas_solved", "crawl.captchas_solved"),
+        ("validated", "crawl.validated"),
+        ("fetched_full", "crawl.fetched_full"),
+        ("rate_limited", "crawl.rate_limited"),
+    ];
+    let run = |kill: Option<u64>| -> Result<Run, (f64, u64)> {
         let eco = build_ecosystem(&EcosystemConfig {
             num_bots: args.scale,
             seed: args.seed,
@@ -302,99 +317,128 @@ fn store_bench(args: &Args, path: &str) {
         });
         let pipeline = AuditPipeline::new(audit_config(args.honeypot_sample, args.workers));
         let mut store = StoreConfig::on_disk(&dir_str).expect("open bench store");
-        store.resume = resume;
         store.kill_after_frames = kill;
         let t0 = std::time::Instant::now();
         let outcome = pipeline.run_resumable(&eco, &store, args.seed);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let reused = pipeline.obs().counter_value("honeypot.guilds_reused");
+        let counters = COUNTERS
+            .iter()
+            .map(|&(key, name)| (key, pipeline.obs().counter_value(name)))
+            .collect();
         match outcome {
-            Ok(o) => (wall_ms, Ok((o, reused))),
-            Err(AuditError::Interrupted { frames_written }) => (wall_ms, Err(frames_written)),
+            Ok(outcome) => Ok(Run {
+                wall_ms,
+                outcome,
+                counters,
+            }),
+            Err(AuditError::Interrupted { frames_written }) => Err((wall_ms, frames_written)),
             Err(other) => panic!("store bench run failed: {other}"),
         }
     };
-    let run_json = |wall_ms: f64,
-                    o: &ResumableOutcome,
-                    guilds_reused: u64,
-                    speedup: Option<f64>|
-     -> serde_json::Value {
+    let counter = |r: &Run, key: &str| {
+        r.counters
+            .iter()
+            .find_map(|&(k, v)| (k == key).then_some(v))
+            .expect("a recorded counter")
+    };
+    let run_json = |r: &Run, cold_ms: Option<f64>| -> serde_json::Value {
+        let stats = r.outcome.store_stats;
         let mut m = serde_json::Map::new();
         m.insert(
             "wall_ms".into(),
-            serde_json::to_value(wall_ms).expect("serializable"),
+            serde_json::to_value(r.wall_ms).expect("f64"),
         );
-        if let Some(s) = speedup {
-            m.insert(
-                "speedup_vs_cold".into(),
-                serde_json::to_value(s).expect("serializable"),
-            );
+        if let Some(cold_ms) = cold_ms {
+            let speedup = serde_json::to_value(cold_ms / r.wall_ms).expect("f64");
+            m.insert("speedup_vs_cold".into(), speedup);
         }
-        m.insert("frames_written".into(), o.store_stats.frames_written.into());
-        m.insert(
-            "frames_replayed".into(),
-            o.store_stats.frames_replayed.into(),
-        );
-        m.insert("artifact_hits".into(), o.store_stats.artifact_hits.into());
-        m.insert(
-            "artifact_misses".into(),
-            o.store_stats.artifact_misses.into(),
-        );
-        m.insert("honeypot_guilds_reused".into(), guilds_reused.into());
+        m.insert("artifact_hits".into(), stats.artifact_hits.into());
+        m.insert("artifact_misses".into(), stats.artifact_misses.into());
+        for &(key, value) in &r.counters {
+            m.insert(key.into(), value.into());
+        }
         m.into()
     };
 
-    // Cold: empty store, every analysis computed and packed.
-    let (cold_ms, cold) = run(false, None);
-    let (cold, cold_reused) = cold.expect("cold run completes");
-    let reference = cold.report.canonical_json();
+    // Cold: empty store, every page fetched and every analysis computed.
+    let cold = run(None).expect("cold run completes");
+    let reference = cold.outcome.report.canonical_json();
     let guilds = cold
+        .outcome
         .report
         .honeypot
         .as_ref()
-        .map_or(0, |c| c.guilds_created);
+        .map_or(0, |c| c.guilds_created as u64);
+    let cold_validators = std::fs::read(&validators).expect("the cold run wrote validators");
 
-    // Warm: fresh journal over the warm pack. Re-crawls, re-analyzes
-    // nothing, and serves every honeypot guild from its stored transcript.
-    let (warm_ms, warm) = run(false, None);
-    let (warm, warm_reused) = warm.expect("warm run completes");
+    // Warm rerun over the complete store: every page answers a 304, every
+    // analysis and honeypot guild is served from the pack.
+    let warm = run(None).expect("warm rerun completes");
+    assert_eq!(warm.outcome.report.canonical_json(), reference);
     assert_eq!(
-        warm.store_stats.artifact_misses, 0,
+        counter(&warm, "fetched_full"),
+        0,
+        "a warm rerun fetches no body"
+    );
+    let stats = warm.outcome.store_stats;
+    assert_eq!(
+        stats.artifact_misses, 0,
         "warm pack must serve every analysis"
     );
     assert_eq!(
-        warm_reused, guilds as u64,
+        counter(&warm, "honeypot_guilds_reused"),
+        guilds,
         "warm pack must serve every guild transcript"
     );
-    assert_eq!(warm.report.canonical_json(), reference);
 
-    // Replay: resume the complete journal — everything is already durable.
-    let (replay_ms, replay) = run(true, None);
-    let (replay, replay_reused) = replay.expect("replay run completes");
-    assert_eq!(replay.report.canonical_json(), reference);
-
-    // Crash drill: an emptied store killed half-way, then resumed.
+    // Crash mid-analysis: an emptied store killed at half its writes.
     let _ = std::fs::remove_dir_all(&dir);
-    let kill_at = (cold.store_stats.frames_written + cold.store_stats.artifact_misses) / 2;
-    let (killed_ms, killed) = run(false, Some(kill_at));
-    let durable = killed.expect_err("kill switch fires mid-run");
-    let (resume_ms, resumed) = run(true, None);
-    let (resumed, resumed_reused) = resumed.expect("resumed run completes");
+    // A cold run's durable writes: one per analysis, and the campaign.
+    let writes = cold.outcome.store_stats.artifact_misses + 1;
+    let kill_at = writes / 2;
+    let (killed_ms, durable) = match run(Some(kill_at)) {
+        Err(killed) => killed,
+        Ok(_) => panic!("kill switch must fire mid-run"),
+    };
+    let rerun = run(None).expect("rerun after the kill completes");
     assert_eq!(
-        resumed.report.canonical_json(),
+        rerun.outcome.report.canonical_json(),
         reference,
-        "resume must be byte-identical"
+        "a rerun after a kill must be byte-identical"
     );
-    let stats = resumed.store_stats;
+    let stats = rerun.outcome.store_stats;
     assert!(stats.artifact_hits > 0, "killed before any analysis");
     assert!(stats.artifact_misses > 0, "killed after every analysis");
 
+    // Crash mid-crawl: what a killed crawl leaves, the cold run's
+    // validator entries cut to half their frames in an emptied store.
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("recreate bench store dir");
+    let frames = store::decode_all(&cold_validators).frames;
+    let kept = frames.len() / 2;
+    let cut: usize = frames[..kept].iter().map(|f| f.encode().len()).sum();
+    std::fs::write(&validators, &cold_validators[..cut]).expect("write cut validators");
+    let recrawl = run(None).expect("rerun after a crawl-stage crash completes");
+    assert_eq!(
+        recrawl.outcome.report.canonical_json(),
+        reference,
+        "a rerun after a crawl-stage crash must be byte-identical"
+    );
+    assert!(
+        counter(&recrawl, "fetched_full") < counter(&cold, "fetched_full"),
+        "the cut cache must spare full fetches"
+    );
+
     println!(
-        "store bench: cold {cold_ms:.1} ms | warm pack {warm_ms:.1} ms ({:.2}x) | \
-         replay {replay_ms:.1} ms ({:.2}x) | crash at write {kill_at} ({durable} durable, \
-         {killed_ms:.1} ms) + resume {resume_ms:.1} ms",
-        cold_ms / warm_ms,
-        cold_ms / replay_ms,
+        "store bench: cold {:.1} ms | warm rerun {:.1} ms ({:.2}x) | crash at write \
+         {kill_at} ({durable} durable, {killed_ms:.1} ms) + rerun {:.1} ms | validators cut \
+         to {kept}/{} frames + rerun {:.1} ms",
+        cold.wall_ms,
+        warm.wall_ms,
+        cold.wall_ms / warm.wall_ms,
+        rerun.wall_ms,
+        frames.len(),
+        recrawl.wall_ms,
     );
 
     let mut out = serde_json::Map::new();
@@ -404,32 +448,20 @@ fn store_bench(args: &Args, path: &str) {
     out.insert("workers".into(), args.workers.into());
     out.insert("available_cores".into(), available_cores().into());
     out.insert("byte_identical".into(), true.into());
-    out.insert("cold".into(), run_json(cold_ms, &cold, cold_reused, None));
-    out.insert(
-        "warm_pack".into(),
-        run_json(warm_ms, &warm, warm_reused, Some(cold_ms / warm_ms)),
-    );
-    out.insert(
-        "replay_complete_journal".into(),
-        run_json(replay_ms, &replay, replay_reused, Some(cold_ms / replay_ms)),
-    );
+    out.insert("cold".into(), run_json(&cold, None));
+    out.insert("warm_rerun".into(), run_json(&warm, Some(cold.wall_ms)));
     let mut crash = serde_json::Map::new();
     crash.insert("kill_after_frames".into(), kill_at.into());
     crash.insert("durable_writes".into(), durable.into());
-    crash.insert(
-        "killed_wall_ms".into(),
-        serde_json::to_value(killed_ms).expect("serializable"),
-    );
-    crash.insert(
-        "resume".into(),
-        run_json(
-            resume_ms,
-            &resumed,
-            resumed_reused,
-            Some(cold_ms / resume_ms),
-        ),
-    );
-    out.insert("crash_and_resume".into(), crash.into());
+    let killed = serde_json::to_value(killed_ms).expect("f64");
+    crash.insert("killed_wall_ms".into(), killed);
+    crash.insert("rerun".into(), run_json(&rerun, Some(cold.wall_ms)));
+    out.insert("crash_mid_analysis".into(), crash.into());
+    let mut crash = serde_json::Map::new();
+    crash.insert("validator_frames_kept".into(), kept.into());
+    crash.insert("validator_frames_total".into(), frames.len().into());
+    crash.insert("rerun".into(), run_json(&recrawl, Some(cold.wall_ms)));
+    out.insert("crash_mid_crawl".into(), crash.into());
     std::fs::write(
         path,
         serde_json::to_string_pretty(&out).expect("serializable"),
@@ -1461,7 +1493,6 @@ fn main() {
     let pipeline = AuditPipeline::new(audit_config(args.honeypot_sample, args.workers));
     let (bots, stats, stored_campaign) = if let Some(dir) = &args.store_dir {
         let mut store = StoreConfig::on_disk(dir).expect("open --store-dir");
-        store.resume = args.resume;
         store.kill_after_frames = args.kill_after_frames;
         match pipeline.run_resumable(&eco, &store, args.seed) {
             Ok(ResumableOutcome {
@@ -1470,18 +1501,15 @@ fn main() {
                 ..
             }) => {
                 eprintln!(
-                    "store: {} frames replayed, {} written; pack {} hits / {} misses",
-                    store_stats.frames_replayed,
-                    store_stats.frames_written,
-                    store_stats.artifact_hits,
-                    store_stats.artifact_misses,
+                    "store: pack {} hits / {} misses",
+                    store_stats.artifact_hits, store_stats.artifact_misses,
                 );
                 (report.bots, report.crawl_stats, report.honeypot)
             }
             Err(AuditError::Interrupted { frames_written }) => {
                 eprintln!(
-                    "interrupted after {frames_written} durable writes (journal and \
-                     pack frames) — rerun with --resume to continue from here"
+                    "interrupted after {frames_written} durable pack writes — rerun \
+                     with the same --store-dir to continue from here"
                 );
                 std::process::exit(0);
             }
@@ -1491,8 +1519,8 @@ fn main() {
             }
         }
     } else {
-        if args.resume || args.kill_after_frames.is_some() {
-            eprintln!("--resume / --kill-after-frames require --store-dir");
+        if args.kill_after_frames.is_some() {
+            eprintln!("--kill-after-frames requires --store-dir");
             std::process::exit(2);
         }
         let (bots, stats) = pipeline.run_static_stages(&eco.net);

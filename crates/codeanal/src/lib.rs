@@ -28,5 +28,6 @@ pub mod scanner;
 pub use cache::LinkCache;
 pub use repo::{Language, Repository, SourceFile};
 pub use scanner::{
-    scan_repository, scanner_kernel_stats, CheckPattern, ScanReport, ScannerKernelStats,
+    scan_counted, scan_repository, scanner_kernel_stats, CheckPattern, ScanReport,
+    ScannerKernelStats,
 };

@@ -195,14 +195,15 @@ pub fn scanner_kernel_stats() -> ScannerKernelStats {
 
 /// Count Table 3 pattern occurrences in one source file without
 /// materializing the stripped code: the tokenizer's output bytes stream
-/// straight into the shared needle automaton.
-fn scan_file_fused(content: &str, lang: &Language, counts: &mut [usize; 4]) {
+/// straight into the shared needle automaton. Returns the bytes scanned.
+fn scan_file_fused(content: &str, lang: &Language, counts: &mut [usize; 4]) -> u64 {
     let mut matcher = table3_automaton().stream_matcher();
     emit_code_bytes(content, lang, |b| {
         for hit in matcher.push(b) {
             counts[hit.pattern as usize] += 1;
         }
     });
+    matcher.consumed()
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -215,9 +216,18 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 /// the paper's analysis covers ("we only considered the bots developed
 /// using the JavaScript and Python libraries").
 pub fn scan_repository(repo: &Repository) -> ScanReport {
+    scan_counted(repo).0
+}
+
+/// [`scan_repository`], with the passes and bytes it scanned.
+/// [`scanner_kernel_stats`] counts every scan in the process, so audits
+/// running side by side would count each other's; an audit counts the
+/// stats this returns instead.
+pub fn scan_counted(repo: &Repository) -> (ScanReport, ScanStats) {
     let language = repo.main_language();
     let mut counts = [0usize; 4];
     let mut files_scanned = 0;
+    let mut bytes_scanned = 0;
     for file in &repo.files {
         let Some(lang) = file.language() else {
             continue;
@@ -230,7 +240,7 @@ pub fn scan_repository(repo: &Repository) -> ScanReport {
             continue;
         }
         files_scanned += 1;
-        scan_file_fused(&file.content, &lang, &mut counts);
+        bytes_scanned += scan_file_fused(&file.content, &lang, &mut counts);
     }
     let hits = CheckPattern::ALL
         .iter()
@@ -238,12 +248,17 @@ pub fn scan_repository(repo: &Repository) -> ScanReport {
         .filter(|(idx, _)| counts[*idx] > 0)
         .map(|(idx, p)| (*p, counts[idx]))
         .collect();
-    ScanReport {
+    let report = ScanReport {
         slug: repo.slug.clone(),
         language,
         hits,
         files_scanned,
-    }
+    };
+    let stats = ScanStats {
+        scans: files_scanned as u64,
+        bytes_scanned,
+    };
+    (report, stats)
 }
 
 #[cfg(test)]
@@ -257,6 +272,29 @@ mod tests {
 
     fn py_repo(code: &str) -> Repository {
         Repository::new("dev/bot", "bot", vec![SourceFile::new("bot.py", code)])
+    }
+
+    #[test]
+    fn a_counted_scan_reports_exactly_its_own_passes_and_bytes() {
+        let (js, py) = (
+            "// note\nif (m.hasPermission('X')) {}",
+            "x = 'str' # comment\n",
+        );
+        let repo = Repository::new(
+            "dev/bot",
+            "bot",
+            vec![
+                SourceFile::new("index.js", js),
+                SourceFile::new("bot.py", py),
+                SourceFile::new("README.md", "not scanned"),
+            ],
+        );
+        let (report, stats) = scan_counted(&repo);
+        assert_eq!(report, scan_repository(&repo));
+        let stripped = strip_noncode(js, &Language::JavaScript).len()
+            + strip_noncode(py, &Language::Python).len();
+        assert_eq!(stats.scans, 2, "two in-scope files");
+        assert_eq!(stats.bytes_scanned, stripped as u64);
     }
 
     #[test]

@@ -13,14 +13,16 @@
 use crate::error::AuditError;
 use crate::pipeline::{AuditConfig, AuditPipeline};
 use crate::report::CanonicalReport;
-use crate::resume::{run_fingerprint, Carry, StoreConfig};
+use crate::resume::{validator_identity, Carry, StoreConfig};
 use crate::service::AuditJob;
 use obs::Obs;
 use platform::{PlatformKind, TELEGRAM_LIST_HOST};
 use policy::KeywordOntology;
 use std::sync::Arc;
 use store::{ArtifactCache, StoreStats, ValidatorCache};
-use synth::{build_ecosystem, build_ecosystem_at, DriftConfig, Ecosystem, EcosystemConfig};
+use synth::{
+    build_ecosystem, build_ecosystem_at, world_lineage, DriftConfig, Ecosystem, EcosystemConfig,
+};
 
 /// The listing host a platform's directory canonically mounts on.
 fn canonical_list_host(kind: PlatformKind) -> &'static str {
@@ -106,12 +108,17 @@ impl Audit {
         self.epoch
     }
 
+    /// The drift this audit's world is built under: none for the frozen
+    /// snapshot of an audit given no drift, the default drift for a later
+    /// epoch of one.
+    fn world_drift(&self) -> Option<DriftConfig> {
+        (self.epoch != 0 || self.drift.is_some()).then(|| self.drift.clone().unwrap_or_default())
+    }
+
     fn world(&self) -> Ecosystem {
-        if self.epoch == 0 && self.drift.is_none() {
-            build_ecosystem(&self.eco)
-        } else {
-            let drift = self.drift.clone().unwrap_or_default();
-            build_ecosystem_at(&self.eco, &drift, self.epoch).0
+        match self.world_drift() {
+            None => build_ecosystem(&self.eco),
+            Some(drift) => build_ecosystem_at(&self.eco, &drift, self.epoch).0,
         }
     }
 
@@ -126,14 +133,13 @@ impl Audit {
         Ok(self.pipeline().run_full(&eco).canonical())
     }
 
-    /// Like [`Self::run`], but journaled through the crash-safe store set
-    /// with [`AuditBuilder::store`] (an in-memory store when unset): a run
-    /// interrupted at any frame surfaces [`AuditError::Interrupted`] and
-    /// resumes — against the same backend, with
-    /// [`StoreConfig::resuming`] — into a byte-identical report. A fresh
-    /// run over a store whose artifact pack is warm re-analyzes no
-    /// unchanged bot and re-drives no honeypot guild whose transcript the
-    /// pack holds.
+    /// Like [`Self::run`], but through the crash-safe store set with
+    /// [`AuditBuilder::store`] (an in-memory store when unset): a run
+    /// interrupted at any durable write surfaces
+    /// [`AuditError::Interrupted`], and a rerun against the same backend
+    /// finishes with a byte-identical report. A rerun over a warm store
+    /// fetches no unchanged page's body, re-analyzes no unchanged bot and
+    /// re-drives no honeypot guild whose transcript the pack holds.
     pub fn run_resumable(&self) -> Result<CanonicalReport, AuditError> {
         let eco = self.world();
         let store = match &self.store {
@@ -144,19 +150,22 @@ impl Audit {
         Ok(outcome.report.canonical())
     }
 
-    /// The run identity a journal and validator cache of this audit carry:
-    /// seed and content-shaping configuration, epoch excluded.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        run_fingerprint(&self.config, self.eco.seed)
+    /// The identity a validator cache of this audit carries
+    /// ([`validator_identity`]): seed, content-shaping configuration and
+    /// how the world is built, epoch excluded. Computed without building
+    /// the world; equal to the identity of the world [`Self::run`] builds.
+    pub(crate) fn validator_identity(&self) -> u64 {
+        let lineage = world_lineage(&self.eco, self.world_drift().as_ref());
+        validator_identity(&self.config, self.eco.seed, &lineage)
     }
 
     /// Run against an explicit store, returning the store statistics
-    /// alongside the report. The fleet service uses this to journal each
-    /// tenant's runs into that tenant's scoped slice of a shared backend
+    /// alongside the report. The fleet service uses this to run each
+    /// tenant's audits over that tenant's scoped slice of a shared backend
     /// and to observe artifact-cache hit rates for incremental re-audits.
     ///
     /// This is the conditional-fetch path over the tenant's held files:
-    /// `pack`, and `validators` for [`Self::fingerprint`] (journaled next
+    /// `pack`, and `validators` for [`Self::validator_identity`] (journaled next
     /// to the pack), plus the site's change ledger turn an epoch-N+1
     /// re-audit into 304 probes for everything the ledger left alone and
     /// full fetches only for the drifted bots. As on every journaled run,
@@ -186,7 +195,6 @@ impl Audit {
             &run.world,
             store,
             self.eco.seed,
-            self.epoch,
             pack,
             validators,
             carried.then_some(&mut run.carry),
@@ -425,7 +433,7 @@ impl AuditBuilder {
 
     // ---- persistence & observability -----------------------------------
 
-    /// Journal through this crash-safe store; [`Audit::run_resumable`]
+    /// Persist through this crash-safe store; [`Audit::run_resumable`]
     /// uses a throwaway in-memory store when unset.
     pub fn store(mut self, store: StoreConfig) -> Self {
         self.store = Some(store);
@@ -522,7 +530,7 @@ mod tests {
     use super::*;
     use crate::error::ErrorKind;
     use std::sync::Arc;
-    use store::MemBackend;
+    use store::{Backend, MemBackend, VALIDATOR_FILE};
 
     fn small() -> AuditBuilder {
         Audit::builder()
@@ -579,7 +587,6 @@ mod tests {
         let crash = small()
             .store(StoreConfig {
                 backend: backend.clone(),
-                resume: false,
                 kill_after_frames: Some(5),
             })
             .build()
@@ -587,24 +594,25 @@ mod tests {
         let err = crash.run_resumable().unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Interrupted);
 
-        let resume = small()
+        let rerun = small()
             .store(StoreConfig {
                 backend,
-                resume: true,
                 kill_after_frames: None,
             })
             .build()
             .unwrap();
-        let resumed = resume.run_resumable().unwrap();
+        let resumed = rerun.run_resumable().unwrap();
         let uninterrupted = small().build().unwrap().run_resumable().unwrap();
         assert_eq!(resumed, uninterrupted);
-        let reused = ["store.journal.replayed", "store.artifacts.hits"]
-            .map(|name| resume.obs().counter_value(name));
-        assert!(reused[0] + reused[1] >= 5);
+        // The five analyses stored before the crash are served from the
+        // pack, and every page the killed run crawled answers a 304.
+        let obs = rerun.obs();
+        assert!(obs.counter_value("store.artifacts.hits") >= 5);
+        assert_eq!(obs.counter_value("crawl.fetched_full"), 0);
     }
 
     #[test]
-    fn a_journal_of_another_drift_epoch_starts_over() {
+    fn a_store_of_another_drift_epoch_reports_like_a_fresh_one() {
         let at = |epoch| small().scale(60).drift(DriftConfig::default()).epoch(epoch);
         let store = StoreConfig::in_memory();
         let epoch0 = at(0).store(store.clone()).build().unwrap();
@@ -612,9 +620,66 @@ mod tests {
 
         let fresh = at(3).build().unwrap().run_resumable().unwrap();
         assert_ne!(fresh, report0, "drift changes the world by epoch 3");
-        let resumed = at(3).store(store.resuming()).build().unwrap();
-        assert_eq!(resumed.run_resumable().unwrap(), fresh);
-        assert_eq!(resumed.obs().counter_value("store.journal.replayed"), 0);
+        let rerun = at(3).store(store.clone()).build().unwrap();
+        assert_eq!(rerun.run_resumable().unwrap(), fresh);
+
+        // Epoch 3 of a world built under other drift: its change feed names
+        // nothing since the epoch the store committed, but the store's
+        // validators describe the other world, so its cache starts over.
+        let frozen = || small().scale(60).drift(DriftConfig::frozen()).epoch(3);
+        let fresh_frozen = frozen().build().unwrap().run_resumable().unwrap();
+        assert_ne!(fresh_frozen, fresh, "another drift, another epoch-3 world");
+        let rerun = frozen().store(store).build().unwrap();
+        assert_eq!(rerun.run_resumable().unwrap(), fresh_frozen);
+        assert_eq!(rerun.obs().counter_value("store.validators.reset"), 1);
+
+        // A crawl of epoch 3 killed after its last page but before its
+        // epoch commit, then rerun against a site serving epoch 2: no page
+        // the killed crawl fetched at epoch 3 is reused.
+        let backend = Arc::new(MemBackend::new());
+        let killed = StoreConfig {
+            backend: backend.clone(),
+            kill_after_frames: None,
+        };
+        at(3)
+            .store(killed)
+            .build()
+            .unwrap()
+            .run_resumable()
+            .unwrap();
+        let wal = backend.read(VALIDATOR_FILE).unwrap().expect("a cache");
+        let commit = store::decode_all(&wal).frames.last().unwrap().encode();
+        let cut = Arc::new(MemBackend::new());
+        cut.poke(VALIDATOR_FILE, wal[..wal.len() - commit.len()].to_vec());
+        let cut = StoreConfig {
+            backend: cut,
+            kill_after_frames: None,
+        };
+        let fresh2 = at(2).build().unwrap().run_resumable().unwrap();
+        assert_ne!(fresh2, fresh, "drift moves the world from epoch 2 to 3");
+        let rerun = at(2).store(cut).build().unwrap();
+        assert_eq!(rerun.run_resumable().unwrap(), fresh2);
+    }
+
+    #[test]
+    fn validator_identity_is_the_identity_of_the_world_the_audit_builds() {
+        let frozen = small().build().unwrap();
+        let drifting = small()
+            .drift(DriftConfig::default())
+            .epoch(2)
+            .build()
+            .unwrap();
+        let later = small().epoch(3).build().unwrap();
+        for audit in [&frozen, &drifting, &later] {
+            let world = audit.world();
+            assert_eq!(
+                audit.validator_identity(),
+                validator_identity(&audit.config, audit.eco.seed, &world.lineage)
+            );
+        }
+        assert_ne!(frozen.validator_identity(), drifting.validator_identity());
+        // Epochs of one drift lineage share the cache.
+        assert_eq!(drifting.validator_identity(), later.validator_identity());
     }
 
     #[test]

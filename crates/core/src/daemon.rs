@@ -14,11 +14,12 @@
 //!   tenant ids, zero weights, deadlines already in the past, and epochs
 //!   at or below the tenant's newest all fail fast with a `config`-kind
 //!   error) and returns a typed [`JobHandle`];
-//! * every tenant gets its own journal + artifact pack, namespaced inside
-//!   one root [`Backend`] via [`ScopedBackend`] — so a tenant's epoch-N+1
-//!   audit re-analyzes only bots whose content hash changed since epoch N
-//!   — and each settled [`JobOutcome`] carries a [`DeltaReport`] against
-//!   the tenant's previous run, committed to the tenant's epoch chain.
+//! * every tenant gets its own artifact pack, validator cache and epoch
+//!   chain, namespaced inside one root [`Backend`] via [`ScopedBackend`]
+//!   — so a tenant's epoch-N+1 audit re-fetches and re-analyzes only bots
+//!   whose content changed since epoch N — and each settled
+//!   [`JobOutcome`] carries a [`DeltaReport`] against the tenant's
+//!   previous run, committed to the tenant's epoch chain.
 //!   The daemon opens each tenant's chain, artifact pack and validator
 //!   cache once, on first use, and holds them for its lifetime: every
 //!   audit slice and settle works on the held handles, and
@@ -81,14 +82,15 @@ pub struct FleetDaemonConfig {
     /// (every tick dispatches everything queued).
     pub quantum: u32,
     /// Cooperative preemption slice for `Batch`-lane audits, in durable
-    /// writes: journal frames, plus the pack frame each analysis miss
-    /// owes. A batch audit whose next write in one tick would exceed this
-    /// many parks before it and resumes on a later tick: its job holds the
-    /// world, crawl and open store, so the resumed slice neither rebuilds
-    /// the world nor re-crawls nor reopens its journal, and re-serves the
-    /// analyses it stored from the pack. The held run lives in memory:
-    /// after a restart, a resubmitted audit rebuilds its world and 304s its
-    /// way back through the crawl. `None` disables slicing.
+    /// pack writes: one per analysis miss, plus one for the campaign's
+    /// guild transcripts. A batch audit whose next write in one tick would
+    /// exceed this many parks before it and resumes on a later tick: its
+    /// job holds the world, crawl and open store, so the resumed slice
+    /// neither rebuilds the world nor re-crawls nor reopens a file, and
+    /// re-serves the analyses it stored from the pack. The held run lives
+    /// in memory: after a restart, a resubmitted audit rebuilds its world,
+    /// 304s its way back through the crawl, and is served its analyses and
+    /// guild transcripts from the pack. `None` disables slicing.
     pub batch_slice_frames: Option<u64>,
     /// Virtual milliseconds [`FleetDaemon::run_until`] advances the clock
     /// between ticks.
@@ -167,7 +169,7 @@ pub struct ShutdownReport {
 /// resume where they left off.
 ///
 /// The record holds the tenant's files open. An append to a held file that
-/// fails marks the file's journal, and its next append first repairs any
+/// fails marks the file's frame log, and its next append first repairs any
 /// torn tail, so no later frame lands behind bytes a restart would stop at.
 struct TenantRecord {
     backend: Arc<dyn Backend>,
@@ -176,7 +178,7 @@ struct TenantRecord {
     /// The artifact pack every audit and settle of the tenant appends to;
     /// `None` until [`FleetDaemon::held`] opens it.
     pack: Option<Arc<ArtifactCache>>,
-    /// The validator cache, with the run fingerprint it was opened for.
+    /// The validator cache, with the identity it was opened for.
     validators: Option<(u64, Arc<ValidatorCache>)>,
     /// Epochs submitted and not yet settled.
     inflight: BTreeSet<u32>,
@@ -261,14 +263,14 @@ pub struct FleetDaemon {
 }
 
 impl FleetDaemon {
-    /// A daemon journaling every tenant into a private in-memory store.
+    /// A daemon keeping every tenant's files in a private in-memory store.
     pub fn new(config: FleetDaemonConfig) -> FleetDaemon {
         FleetDaemon::with_backend(config, Arc::new(MemBackend::new()))
     }
 
     /// A daemon with an explicit root backend (e.g. a
-    /// [`store::DiskBackend`] to persist tenant journals and artifact
-    /// packs across restarts). Each tenant's store is scoped under
+    /// [`store::DiskBackend`] to persist tenant packs, validator caches and
+    /// epoch chains across restarts). Each tenant's store is scoped under
     /// `<tenant>/` inside the root.
     pub fn with_backend(config: FleetDaemonConfig, root: Arc<dyn Backend>) -> FleetDaemon {
         FleetDaemon::with_obs(config, root, VirtualClock::new(), Obs::disabled())
@@ -414,20 +416,20 @@ impl FleetDaemon {
         Arc::new(ScopedBackend::new(Arc::clone(&self.root), tenant))
     }
 
-    /// `tenant`'s backend, held pack and, given a run `fingerprint`, held
-    /// validator cache for it. A file not held yet — or a validator cache
-    /// held for another fingerprint — is opened here, outside the
-    /// tenant-map lock, which is taken only to clone or install a handle.
+    /// `tenant`'s backend, held pack and, given a validator-cache
+    /// `identity`, held validator cache for it. A file not held yet — or a
+    /// validator cache held for another identity — is opened here, outside
+    /// the tenant-map lock, which is taken only to clone or install a handle.
     /// A validator cache that cannot open is `None`: a warning names the
     /// error, the run crawls cold, and the next one retries.
-    fn held(&self, tenant: &str, fingerprint: Option<u64>) -> io::Result<HeldFiles> {
+    fn held(&self, tenant: &str, identity: Option<u64>) -> io::Result<HeldFiles> {
         let (backend, pack, validators) = {
             let mut tenants = self.tenants.lock().expect("tenant map poisoned");
             let record = self.tenant(&mut tenants, tenant);
             let validators = record
                 .validators
                 .as_ref()
-                .filter(|(held, _)| Some(*held) == fingerprint)
+                .filter(|(held, _)| Some(*held) == identity)
                 .map(|(_, cache)| Arc::clone(cache));
             (Arc::clone(&record.backend), record.pack.clone(), validators)
         };
@@ -435,9 +437,9 @@ impl FleetDaemon {
             Some(pack) => pack,
             None => Arc::new(ArtifactCache::open(Arc::clone(&backend), PACK_FILE)?),
         };
-        let validators = match (validators, fingerprint) {
+        let validators = match (validators, identity) {
             (Some(cache), _) => Some(cache),
-            (None, Some(fingerprint)) => ValidatorCache::open(Arc::clone(&backend), fingerprint)
+            (None, Some(identity)) => ValidatorCache::open(Arc::clone(&backend), identity)
                 .inspect_err(|e| {
                     self.obs.event(
                         Severity::Warn,
@@ -454,8 +456,8 @@ impl FleetDaemon {
         let mut tenants = self.tenants.lock().expect("tenant map poisoned");
         let record = self.tenant(&mut tenants, tenant);
         let pack = Arc::clone(record.pack.get_or_insert(pack));
-        if let (Some(cache), Some(fingerprint)) = (&validators, fingerprint) {
-            record.validators = Some((fingerprint, Arc::clone(cache)));
+        if let (Some(cache), Some(identity)) = (&validators, identity) {
+            record.validators = Some((identity, Arc::clone(cache)));
         }
         Ok((backend, pack, validators))
     }
@@ -542,13 +544,12 @@ impl FleetDaemon {
     /// changes only when the slice's outcome settles.
     fn execute(&self, spec: &JobSpec, job: &mut AuditJob, ctx: ExecCtx) -> StepResult<ExecOutput> {
         let result = self
-            .held(&spec.tenant, Some(job.audit().fingerprint()))
+            .held(&spec.tenant, Some(job.audit().validator_identity()))
             .map_err(store_error)
             .and_then(|(backend, pack, validators)| {
                 // Later slices of a sliced job run on the store it holds.
                 let store = StoreConfig {
                     backend,
-                    resume: false,
                     kill_after_frames: ctx.slice_frames,
                 };
                 job.run_scoped(&store, pack, validators)
@@ -1199,8 +1200,8 @@ mod tests {
         unsliced.run_until(50);
         let reference = unsliced.resolve(h).unwrap().report.unwrap();
 
-        // Sliced: the batch audit parks repeatedly and resumes from its
-        // journal each tick.
+        // Sliced: the batch audit parks repeatedly and resumes from the
+        // run its job holds each tick.
         let sliced = FleetDaemon::new(FleetDaemonConfig {
             batch_slice_frames: Some(4),
             ..FleetDaemonConfig::default()

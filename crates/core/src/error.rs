@@ -37,10 +37,11 @@ pub enum AuditError {
     /// An HTML locator failed during extraction.
     Locate(LocateError),
     /// The armed kill switch fired mid-run (the simulated crash). Every
-    /// write made before the crash is durable and will be reused.
+    /// write made before the crash is durable, and a rerun over the same
+    /// store reuses it.
     Interrupted {
-        /// Durable writes (journal and analysis pack frames) made before
-        /// the simulated crash.
+        /// Durable writes made before the simulated crash: one pack frame
+        /// per analysis miss, plus one for a campaign's guild transcripts.
         frames_written: u64,
     },
     /// The fleet scheduler refused the submission (queue full or tenant
@@ -73,7 +74,7 @@ pub enum ErrorKind {
     Store,
     /// HTML locator failure.
     Locate,
-    /// Simulated crash: resume to continue.
+    /// Simulated crash: rerun over the same store to continue.
     Interrupted,
     /// Scheduler admission control refused the job.
     Saturated,

@@ -63,10 +63,7 @@ pub use report::{
     render_table3, risk_report, CanonicalBot, CanonicalCampaign, CanonicalDetection,
     CanonicalReport, RiskFlag, RiskReport,
 };
-pub use resume::{
-    run_fingerprint, ResumableOutcome, StoreConfig, CRAWL_UNIT_SIZE, K_COMPLETE, K_CRAWL_UNIT,
-    K_HONEYPOT, K_LISTING,
-};
+pub use resume::{run_fingerprint, validator_identity, ResumableOutcome, StoreConfig};
 pub use service::{platform_breakdown, AuditJob, JobOutcome, PlatformBreakdown};
 pub use stats::{
     figure3_distribution, permission_rate_by_tag, table1_histogram, table2_traceability,

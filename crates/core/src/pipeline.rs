@@ -17,14 +17,14 @@
 //! are reused from the artifact pack.
 
 use codeanal::github::LinkOutcome;
-use codeanal::scanner::{scan_repository, ScanReport};
-use codeanal::{Language, LinkCache, ScannerKernelStats};
+use codeanal::scanner::{scan_counted, ScanReport};
+use codeanal::{Language, LinkCache};
 use crawler::crawl::{CrawlConfig, CrawlStats, CrawledBot};
 use honeypot::campaign::{BotUnderTest, CampaignConfig, CampaignReport};
 use honeypot::DiscordSubstrate;
 use netsim::client::{ClientConfig, HttpClient};
 use netsim::Network;
-use obs::{Obs, Span};
+use obs::{Counter, Obs, Span};
 use platform::PlatformKind;
 use policy::{AnalysisMemo, KeywordOntology, OntologyKernelStats, TraceabilityReport};
 use serde::{Deserialize, Serialize};
@@ -139,6 +139,10 @@ pub struct AuditReport {
 pub struct AuditPipeline {
     pub(crate) config: AuditConfig,
     pub(crate) obs: Obs,
+    /// `code.scan_passes` and `code.bytes_scanned` on `obs`: this
+    /// pipeline's own scans, added as each one ends.
+    scan_passes: Counter,
+    bytes_scanned: Counter,
 }
 
 impl AuditPipeline {
@@ -153,7 +157,12 @@ impl AuditPipeline {
     /// `analysis.*`, `policy.*`, `code.*`, `store.*`, and `honeypot.*`
     /// metrics into its registry.
     pub fn with_obs(config: AuditConfig, obs: Obs) -> AuditPipeline {
-        AuditPipeline { config, obs }
+        AuditPipeline {
+            scan_passes: obs.counter("code.scan_passes"),
+            bytes_scanned: obs.counter("code.bytes_scanned"),
+            config,
+            obs,
+        }
     }
 
     /// This pipeline's observability handle (for reading metrics after a
@@ -183,7 +192,9 @@ impl AuditPipeline {
             .as_deref()
             .map(|link| match links.resolve(gh_client, link) {
                 LinkOutcome::ValidRepo(repo) => {
-                    let scan = scan_repository(&repo);
+                    let (scan, stats) = scan_counted(&repo);
+                    self.scan_passes.add(stats.scans);
+                    self.bytes_scanned.add(stats.bytes_scanned);
                     CodeFinding {
                         resolution: LinkResolution::ValidRepo,
                         language: repo.main_language(),
@@ -247,7 +258,7 @@ impl AuditPipeline {
     /// `analysis.*`, `policy.*`, and `code.*`.
     pub fn run_static_stages(&self, net: &Network) -> (Vec<AuditedBot>, CrawlStats) {
         self.static_stages(net, None, None)
-            .expect("a run without a store has no journal to fail")
+            .expect("a run without a store has no write to refuse")
     }
 
     /// Mirror the shared-cache and kernel counters from one analysis run
@@ -259,10 +270,8 @@ impl AuditPipeline {
         links: &LinkCache,
         memo: &AnalysisMemo,
         policy_before: OntologyKernelStats,
-        code_before: ScannerKernelStats,
     ) {
         let policy_after = self.config.ontology.kernel_stats();
-        let code_after = codeanal::scanner_kernel_stats();
         let obs = &self.obs;
         obs.counter("analysis.link_cache.hits").add(links.hits());
         obs.counter("analysis.link_cache.misses")
@@ -277,11 +286,7 @@ impl AuditPipeline {
         obs.counter("policy.bytes_scanned")
             .add(policy_after.bytes_scanned - policy_before.bytes_scanned);
         obs.gauge("code.automaton_states")
-            .set(code_after.automaton_states as i64);
-        obs.counter("code.scan_passes")
-            .add(code_after.scans - code_before.scans);
-        obs.counter("code.bytes_scanned")
-            .add(code_after.bytes_scanned - code_before.bytes_scanned);
+            .set(codeanal::scanner_kernel_stats().automaton_states as i64);
     }
 
     /// Run the dynamic stage against the ecosystem's most-voted testable
@@ -352,7 +357,7 @@ impl AuditPipeline {
     /// Run everything.
     pub fn run_full(&self, eco: &Ecosystem) -> AuditReport {
         self.run_stages(eco, None, None)
-            .expect("a run without a store has no journal to fail")
+            .expect("a run without a store has no write to refuse")
     }
 }
 
@@ -529,6 +534,39 @@ mod tests {
         assert!(obs.gauge_value("code.automaton_states") > 0);
         assert!(obs.counter_value("code.scan_passes") > 0);
         assert!(obs.counter_value("code.bytes_scanned") > 0);
+    }
+
+    #[test]
+    fn concurrent_audits_count_only_their_own_scans() {
+        let code = |p: &AuditPipeline| {
+            let obs = p.obs();
+            (
+                obs.counter_value("code.scan_passes"),
+                obs.counter_value("code.bytes_scanned"),
+            )
+        };
+        let solo = AuditPipeline::new(AuditConfig::default());
+        solo.run_static_stages(&small_world().net);
+        let expected = code(&solo);
+        assert!(expected.0 > 0 && expected.1 > 0);
+
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let audits: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let eco = small_world();
+                        let pipeline = AuditPipeline::new(AuditConfig::default());
+                        start.wait();
+                        pipeline.run_static_stages(&eco.net);
+                        code(&pipeline)
+                    })
+                })
+                .collect();
+            for audit in audits {
+                assert_eq!(audit.join().expect("audit thread"), expected);
+            }
+        });
     }
 
     #[test]

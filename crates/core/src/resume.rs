@@ -4,42 +4,42 @@
 //! restart re-paid crawl and analysis work. Every run of the pipeline —
 //! [`AuditPipeline::run_full`] included — goes through the flow in this
 //! module: the listing traversal, fixed-size chunks of detail pages, the
-//! per-bot analyses, and the honeypot campaign. Routed through a
-//! [`store::AuditStore`], the listing, each crawl chunk and the campaign
-//! are durably journaled the moment they finish; each bot's analysis
-//! lives only in a content-addressed artifact cache, at the address its
-//! crawled bytes hash to, and each honeypot guild's transcript lives there
-//! too, keyed by its bot's identity. Without a store the same flow skips
-//! every journal lookup, frame write, artifact key, and serialization.
+//! per-bot analyses, and the honeypot campaign. Routed through a store,
+//! each stage's state lands the moment it is made in a file that addresses
+//! it by URL or by content, never by the run's position: every page the
+//! crawl fetches in the validator cache (`validators.wal`), keyed by URL;
+//! each bot's analysis in the artifact pack (`artifacts.pack`), at the
+//! address its crawled bytes hash to; and each honeypot guild's transcript
+//! in the pack too, keyed by its bot's identity. Without a store the same
+//! flow skips every validator, artifact key, and serialization.
 //!
 //! Two properties follow, and the test suite pins both down:
 //!
-//! * **Crash-equivalence.** A run killed after any number of frames, then
-//!   resumed, produces a canonical report byte-identical to an uninterrupted
-//!   run. This leans on the fabric's guarantee (proved by the
-//!   worker-count-invariance tests) that request *content* is independent of
-//!   request scheduling, so skipping already-journaled requests does not
-//!   perturb the remainder.
-//! * **Incrementality.** Every journaled run, cold or warm, either replays
-//!   its journaled campaign or reuses the guild transcripts the pack holds,
-//!   and stores its own. A fresh (non-resumed) run against a warm artifact
-//!   pack therefore re-crawls but performs **zero** policy or code
-//!   re-analyses for unchanged bots and re-drives no honeypot guild of an
-//!   unchanged bot — the artifact counters in [`store::StoreStats`] (also
-//!   mirrored into the pipeline's obs registry under `store.*`) and
-//!   `honeypot.guilds_reused` prove it.
+//! * **Crash-equivalence.** A run killed after any number of durable
+//!   writes, then rerun over the same store, produces a canonical report
+//!   byte-identical to an uninterrupted run: the rerun answers every page
+//!   the killed run crawled with a 304, serves the analyses it stored from
+//!   the pack and reuses its guild transcripts. This leans on the fabric's
+//!   guarantee (proved by the worker-count-invariance tests) that request
+//!   *content* is independent of request scheduling, so asking again for
+//!   what a killed run already fetched does not perturb the remainder.
+//! * **Incrementality.** A rerun over a warm store fetches no unchanged
+//!   page's body, performs **zero** policy or code re-analyses for
+//!   unchanged bots and re-drives no honeypot guild of an unchanged bot —
+//!   the `crawl.*` counters, the artifact counters in
+//!   [`store::StoreStats`] (also mirrored into the pipeline's obs registry
+//!   under `store.*`) and `honeypot.guilds_reused` prove it.
 //!
-//! Journal layout is worker-count independent: detail pages are journaled in
-//! fixed [`CRAWL_UNIT_SIZE`] chunks. A frame or analysis blob that passes
-//! its CRC but does not decode is a miss, never a crash: it is counted
-//! under `store.journal.undecodable` and recomputed.
+//! Stored state that passes its CRC but does not decode is a miss, never a
+//! crash: an analysis blob or guild transcript is counted under
+//! `store.artifacts.undecodable` and recomputed, and a validator entry is
+//! fetched again in full.
 //!
 //! A fleet `Batch` audit runs in slices that park when their budget of
 //! durable writes runs out. Its job holds the world it was built against
-//! and a `Carry` between slices — the completed crawl, which a run with an
-//! armed validator cache never journals, and the open store — so a
-//! resumed slice builds no world, asks the site nothing, and reopens and
-//! replays nothing.
+//! and a `Carry` between slices — the completed crawl and the open store —
+//! so a resumed slice builds no world, asks the site nothing, and reopens
+//! nothing.
 
 use crate::error::AuditError;
 use crate::pipeline::{
@@ -48,7 +48,7 @@ use crate::pipeline::{
 use codeanal::LinkCache;
 use crawler::crawl::{
     assemble, crawl_detail_unit, detail_session, discover_listing, resolve_workers, CrawlStats,
-    CrawledBot, DetailUnit, EncodedBot, ListingIndex, DETAIL_UNIT_SIZE,
+    CrawledBot, EncodedBot, DETAIL_UNIT_SIZE,
 };
 use crawler::incremental::{fetch_changed_hrefs, ValidatorStore};
 use discord_sim::RuntimePolicy;
@@ -59,6 +59,7 @@ use platform::ChatSubstrate;
 use policy::{AnalysisMemo, DataPractice, TraceabilityReport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 use store::{
@@ -68,56 +69,39 @@ use store::{
 use synth::truth::BehaviorClass;
 use synth::Ecosystem;
 
-/// Journal frame kind: the merged listing index (phase A). Key 0.
-pub const K_LISTING: u16 = 0x0010;
-/// Journal frame kind: one detail-page chunk. Key = chunk index.
-pub const K_CRAWL_UNIT: u16 = 0x0011;
-/// Journal frame kind: the honeypot campaign report. Key 0.
-pub const K_HONEYPOT: u16 = 0x0013;
-/// Journal frame kind: run-complete marker. Key 0.
-pub const K_COMPLETE: u16 = 0x0014;
-
-/// Detail hrefs per journaled crawl unit: the crawler's fixed unit size.
-pub const CRAWL_UNIT_SIZE: usize = DETAIL_UNIT_SIZE;
-
-/// Where and how a resumable run persists.
+/// Where and how a journaled run persists.
+///
+/// A run reads and extends the artifact pack and validator cache on
+/// `backend`. There is no separate resume mode: a run over the files a
+/// killed run left continues it, and one over a complete run's files
+/// reuses everything that did not change.
 #[derive(Clone)]
 pub struct StoreConfig {
     /// The storage backend (in-memory for tests, disk for real runs).
     pub backend: Arc<dyn Backend>,
-    /// Replay a compatible existing journal instead of starting fresh. The
-    /// artifact pack is warm either way — content addressing makes it safe.
-    pub resume: bool,
-    /// Arm the crash lever: allow this many durable writes — journal
-    /// frames, plus the pack frame each analysis miss owes — then fail the
-    /// run with [`AuditError::Interrupted`] exactly as if the process died.
+    /// Arm the crash lever: allow this many durable writes — the pack
+    /// frame each analysis miss owes, plus one for the campaign's guild
+    /// transcripts — then fail the run with [`AuditError::Interrupted`]
+    /// exactly as if the process died.
     pub kill_after_frames: Option<u64>,
 }
 
 impl StoreConfig {
-    /// A hermetic in-memory store (fresh run, no kill switch).
+    /// A hermetic in-memory store (no kill switch).
     pub fn in_memory() -> StoreConfig {
         StoreConfig {
             backend: Arc::new(MemBackend::new()),
-            resume: false,
             kill_after_frames: None,
         }
     }
 
-    /// A disk store rooted at `dir` (fresh run, no kill switch). Creates
-    /// the directory if needed.
+    /// A disk store rooted at `dir` (no kill switch). Creates the directory
+    /// if needed.
     pub fn on_disk(dir: impl Into<std::path::PathBuf>) -> std::io::Result<StoreConfig> {
         Ok(StoreConfig {
             backend: Arc::new(DiskBackend::open(dir)?),
-            resume: false,
             kill_after_frames: None,
         })
-    }
-
-    /// The same store, opened in resume mode.
-    pub fn resuming(mut self) -> StoreConfig {
-        self.resume = true;
-        self
     }
 
     /// The same store with the crash lever armed after `frames` durable
@@ -127,21 +111,20 @@ impl StoreConfig {
         self
     }
 
-    /// Open the audit store for the run identified by `fingerprint` over
-    /// `pack`, with the crash lever armed when configured.
-    fn open(&self, fingerprint: u64, pack: Arc<ArtifactCache>) -> Result<AuditStore, AuditError> {
-        let store = AuditStore::open(self.backend.clone(), pack, fingerprint, self.resume)?;
+    /// A store handle over `pack`, with the crash lever armed when
+    /// configured.
+    fn open(&self, pack: Arc<ArtifactCache>) -> AuditStore {
+        let store = AuditStore::open(pack);
         if let Some(frames) = self.kill_after_frames {
             store.set_kill_after(frames);
         }
-        Ok(store)
+        store
     }
 }
 
 impl fmt::Debug for StoreConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StoreConfig")
-            .field("resume", &self.resume)
             .field("kill_after_frames", &self.kill_after_frames)
             .finish_non_exhaustive()
     }
@@ -153,9 +136,9 @@ pub(crate) type Crawl = (Vec<EncodedBot>, CrawlStats);
 
 /// What a sliced run carries in memory from one slice to the next: its
 /// completed crawl and its open store, whose counts and referenced keys
-/// then span every slice. A parked fleet job holds one; a restart loses it
-/// and falls back on the journal, pack and validator cache, which stay
-/// the crash-safe state.
+/// then span every slice. A parked fleet job holds one; a restart loses it,
+/// and a resubmitted audit falls back on the pack and validator cache,
+/// which stay the crash-safe state.
 #[derive(Default)]
 pub(crate) struct Carry {
     crawl: Option<Crawl>,
@@ -171,9 +154,8 @@ pub(crate) struct Carry {
 pub struct ResumableOutcome {
     /// The full report, canonical-identical to an uninterrupted run.
     pub report: AuditReport,
-    /// Raw store counters for the run's store handle (journal frames
-    /// written/replayed, artifact cache hits/misses) — one handle over
-    /// every slice of a run that parked.
+    /// The artifact hits and misses of the run's store handle — one handle
+    /// over every slice of a run that parked.
     pub store_stats: StoreStats,
     /// Every artifact-pack address the run's store handle referenced,
     /// sorted and deduplicated — what the fleet's epoch chain records so
@@ -193,9 +175,10 @@ struct AnalysisArtifact {
 /// Digest of everything in the audit configuration that shapes measurement
 /// *content*. Parallelism knobs (`crawl.workers`, `workers`,
 /// `honeypot.workers`) are deliberately excluded: output is byte-identical
-/// across worker counts, so a journal written at `--workers 8` resumes
-/// correctly at `--workers 1`. A journaled run scopes its journal and guild
-/// transcripts further by the world's message-delivery rules.
+/// across worker counts, so a store written at `--workers 8` serves a rerun
+/// at `--workers 1`. It keys a run's analyses; a journaled run scopes its
+/// validator cache further by the world's lineage ([`validator_identity`])
+/// and its guild transcripts by the world's message-delivery rules.
 pub fn run_fingerprint(config: &AuditConfig, world_seed: u64) -> u64 {
     let c = &config.crawl;
     let h = &config.honeypot;
@@ -229,6 +212,20 @@ pub fn run_fingerprint(config: &AuditConfig, world_seed: u64) -> u64 {
     ])
 }
 
+/// The identity a run's validator cache carries: [`run_fingerprint`] scoped
+/// by the world's lineage ([`synth::world_lineage`]), how the world was
+/// built with its epoch left out. Every epoch of one drift lineage shares
+/// it, so epoch N+1 warms from epoch N; a store written against a world
+/// built another way starts its validator cache over, since the site's
+/// change feed only names what moved along one lineage.
+pub fn validator_identity(config: &AuditConfig, world_seed: u64, lineage: &str) -> u64 {
+    store::fingerprint(&[
+        b"validators-v2",
+        &run_fingerprint(config, world_seed).to_le_bytes(),
+        lineage.as_bytes(),
+    ])
+}
+
 /// The content address of a bot's analysis: the run-config digest plus the
 /// bot's full crawled bytes. Any change to the bot (new policy text, new
 /// invite outcome) or to the analyzers' configuration moves the address.
@@ -245,29 +242,33 @@ fn artifact_key_raw(fingerprint: u64, bot_json: &[u8]) -> ContentHash {
     ContentHash::of_parts(&[b"analysis-v1", &fingerprint.to_le_bytes(), bot_json])
 }
 
-/// Everything the warm crawl path carries: the tenant's held validator
-/// cache, the set of detail hrefs the site's change ledger names since the
-/// cache's committed epoch, and the epoch to commit once the crawl
-/// completes. Absent, the pipeline crawls cold — incrementality is a
-/// performance overlay, never a correctness dependency.
+/// Everything the warm crawl path carries: the validator cache at the
+/// epoch the site serves, and the set of detail hrefs the site's change
+/// ledger names since the cache's committed epoch. Absent, the pipeline
+/// crawls cold — incrementality is a performance overlay, never a
+/// correctness dependency.
 pub(crate) struct IncrementalContext {
     cache: CacheStore,
     changed: BTreeSet<String>,
+}
+
+/// [`ValidatorStore`] over the journaled [`ValidatorCache`] at `epoch`, the
+/// epoch the site's change feed reports: every page is stored as fetched at
+/// it, and no page fetched at a later one is read. Write failures are
+/// swallowed: validators are performance state — a lost entry costs an
+/// extra full fetch on the next run, never a wrong crawl.
+struct CacheStore {
+    cache: Arc<ValidatorCache>,
     epoch: u32,
 }
 
-/// [`ValidatorStore`] over the journaled [`ValidatorCache`]. Write failures
-/// are swallowed: validators are performance state — a lost entry costs an
-/// extra full fetch on the next run, never a wrong crawl.
-struct CacheStore(Arc<ValidatorCache>);
-
 impl ValidatorStore for CacheStore {
     fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.0.get(key)
+        self.cache.get(key, self.epoch)
     }
 
     fn put(&self, key: &str, value: &[u8]) {
-        let _ = self.0.put(key, value);
+        let _ = self.cache.put(key, value, self.epoch);
     }
 }
 
@@ -281,13 +282,13 @@ pub(crate) struct Journaled<'a> {
     inc: Option<&'a IncrementalContext>,
 }
 
-/// The identity a world's journal and guild transcripts are recorded
-/// under: `fingerprint` itself under Discord's default delivery rules (no
-/// per-message least privilege, no runtime enforcer), so journals and packs
-/// written by default worlds keep it; digested with the rules otherwise, so
-/// a world under one rule never resumes a journal or replays a transcript
-/// recorded under another. Analyses of crawled bytes do not depend on
-/// delivery and stay keyed by `fingerprint`.
+/// The identity a world's guild transcripts are recorded under:
+/// `fingerprint` itself under Discord's default delivery rules (no
+/// per-message least privilege, no runtime enforcer), so packs written by
+/// default worlds keep it; digested with the rules otherwise, so a world
+/// under one rule never replays a transcript recorded under another.
+/// Analyses of crawled bytes do not depend on delivery and stay keyed by
+/// `fingerprint`.
 fn delivery_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
     let least_privilege = eco.platform.least_privilege_delivery();
     let policy = eco.platform.runtime_policy();
@@ -298,21 +299,6 @@ fn delivery_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
         b"delivery-v1",
         &fingerprint.to_le_bytes(),
         format!("least_privilege={least_privilege}|policy={policy:?}").as_bytes(),
-    ])
-}
-
-/// The identity a world's journal is recorded under: [`delivery_scoped`],
-/// digested with how the world was built ([`Ecosystem::identity`]: its
-/// config and, past epoch 0, its drift config and epoch). Journal units are
-/// keyed by position (listing and crawl-unit indices), so a resume over
-/// the journal of another world — another shape, another drift epoch —
-/// starts over instead of replaying into the wrong bots. Analysis keys and
-/// guild transcripts are content-addressed and stay shared.
-fn journal_scoped(fingerprint: u64, eco: &Ecosystem) -> u64 {
-    store::fingerprint(&[
-        b"journal-v2",
-        &delivery_scoped(fingerprint, eco).to_le_bytes(),
-        eco.identity.as_bytes(),
     ])
 }
 
@@ -340,10 +326,6 @@ fn guild_snapshot_key(
     ])
 }
 
-fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(), AuditError> {
-    checked(store, store.record_unit(kind, key, payload))
-}
-
 /// A call on `store`, its kill switch's refusal as [`AuditError::Interrupted`].
 fn checked<T>(store: &AuditStore, result: Result<T, StoreError>) -> Result<T, AuditError> {
     result.map_err(|e| match e {
@@ -361,39 +343,52 @@ fn interrupted(store: &AuditStore) -> AuditError {
 impl AuditPipeline {
     /// Run the full pipeline through a crash-safe store.
     ///
-    /// The listing, each crawl unit and the campaign are journaled before
-    /// the next begins, and each analysis lands in the artifact pack; a run
-    /// killed at any durable write resumes from the journal and pack and
-    /// finishes with a canonical report byte-identical to an uninterrupted
-    /// run. A fresh run against a warm artifact pack re-crawls but
-    /// re-analyzes nothing and re-drives no honeypot guild whose transcript
-    /// it holds. Opens the store's artifact pack and runs the one journaled
-    /// flow over it with no validator cache.
+    /// Opens the store's artifact pack and its validator cache for this
+    /// run and world ([`validator_identity`]) and runs the one journaled
+    /// flow over them. A validator cache that cannot open is a warning
+    /// under `store.validators`, and the run crawls cold, as a fleet
+    /// tenant's does. Every page lands in the validator cache as it is
+    /// fetched, each analysis in the pack, and the campaign's guild
+    /// transcripts there too; a run killed at any durable write, rerun over
+    /// the same store, finishes with a canonical report byte-identical to
+    /// an uninterrupted run. A rerun over a complete store revalidates
+    /// every unchanged page for a bodyless 304, re-analyzes nothing and
+    /// re-drives no honeypot guild whose transcript it holds.
     pub fn run_resumable(
         &self,
         eco: &Ecosystem,
         store_cfg: &StoreConfig,
         world_seed: u64,
     ) -> Result<ResumableOutcome, AuditError> {
-        let pack =
-            ArtifactCache::open(store_cfg.backend.clone(), PACK_FILE).map_err(StoreError::Io)?;
-        self.run_carried(eco, store_cfg, world_seed, 0, Arc::new(pack), None, None)
+        let backend = &store_cfg.backend;
+        let pack = ArtifactCache::open(backend.clone(), PACK_FILE).map_err(StoreError::Io)?;
+        let identity = validator_identity(&self.config, world_seed, &eco.lineage);
+        let validators = ValidatorCache::open(backend.clone(), identity)
+            .inspect_err(|e| {
+                self.obs.event(
+                    Severity::Warn,
+                    "store.validators",
+                    format!("validator cache unavailable ({e}); crawling cold"),
+                )
+            })
+            .ok()
+            .map(Arc::new);
+        self.run_carried(eco, store_cfg, world_seed, Arc::new(pack), validators, None)
     }
 
     /// Every journaled run: [`Self::run_resumable`], or one slice of a
-    /// fleet tenant's run over its held files with the conditional-fetch
-    /// warm path armed.
+    /// fleet tenant's run over its held files.
     ///
     /// The run appends to `pack`, an artifact pack already open. Given
-    /// `validators`, the validator cache for this run's fingerprint
-    /// ([`run_fingerprint`]), it asks the listing site which bots changed
+    /// `validators`, the validator cache for this run and world
+    /// ([`validator_identity`]), it asks the listing site which bots changed
     /// since the cache's committed epoch and hands the crawl the cache, so
     /// an unchanged page costs one bodyless 304 round-trip and a
     /// ledger-named page is always re-fetched in full; a crawl that
-    /// completes commits the cache at `epoch`. Without a cache, or if the
-    /// change feed is unreachable (a warning names that case), the crawl
-    /// runs cold and is journaled unit by unit — the report is
-    /// byte-identical either way.
+    /// completes commits the cache at the epoch the site's change feed
+    /// reports. Without a cache, or if the change feed is unreachable (a
+    /// warning names that case), the crawl runs cold and persists nothing —
+    /// the report is byte-identical either way.
     ///
     /// Given `carry`, this is one slice of a sliced run: the store an
     /// earlier slice opened is re-armed for this slice's budget instead of
@@ -402,19 +397,16 @@ impl AuditPipeline {
     /// that opens the store or completes the crawl leaves it in `carry`.
     /// Each slice publishes its own `store.*` counts; a completed run
     /// reports its store's totals.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_carried(
         &self,
         eco: &Ecosystem,
         store_cfg: &StoreConfig,
         world_seed: u64,
-        epoch: u32,
         pack: Arc<ArtifactCache>,
         validators: Option<Arc<ValidatorCache>>,
         carry: Option<&mut Carry>,
     ) -> Result<ResumableOutcome, AuditError> {
         let fingerprint = run_fingerprint(&self.config, world_seed);
-        let open = || store_cfg.open(journal_scoped(fingerprint, eco), pack);
         let mut own = None;
         // A held store is re-armed for this slice's budget, and publishes
         // only what this slice adds to its counts.
@@ -429,14 +421,20 @@ impl AuditPipeline {
                 store.set_kill_after(limit.unwrap_or(u64::MAX));
                 (&*store, Some(crawl), store.stats())
             }
-            Some(Carry { crawl, store }) => {
-                (&*store.insert(open()?), Some(crawl), StoreStats::default())
-            }
-            None => (&*own.insert(open()?), None, StoreStats::default()),
+            Some(Carry { crawl, store }) => (
+                &*store.insert(store_cfg.open(pack)),
+                Some(crawl),
+                StoreStats::default(),
+            ),
+            None => (
+                &*own.insert(store_cfg.open(pack)),
+                None,
+                StoreStats::default(),
+            ),
         };
         let crawled = held.as_ref().is_some_and(|crawl| crawl.is_some());
         let inc = validators.filter(|_| !crawled).and_then(|cache| {
-            let Some(changed) = fetch_changed_hrefs(
+            let Some((changed, epoch)) = fetch_changed_hrefs(
                 &eco.net,
                 &self.config.crawl.list_host,
                 cache.epoch(),
@@ -450,9 +448,8 @@ impl AuditPipeline {
                 return None;
             };
             Some(IncrementalContext {
-                cache: CacheStore(cache),
+                cache: CacheStore { cache, epoch },
                 changed,
-                epoch,
             })
         });
         let run = Journaled {
@@ -460,22 +457,16 @@ impl AuditPipeline {
             fingerprint,
             inc: inc.as_ref(),
         };
-        let report = self.run_stages(eco, Some(run), held).and_then(|report| {
-            if store.lookup_unit(K_COMPLETE, 0).is_none() {
-                record(store, K_COMPLETE, 0, Vec::new())?;
-            }
-            Ok(report)
-        });
+        let report = self.run_stages(eco, Some(run), held);
         // Published however the slice ends, so a parked slice's work is
         // counted once, by the slice that did it.
         let end = store.stats();
-        let publish = |name: &str, count: fn(&StoreStats) -> u64| {
-            self.obs.counter(name).add(count(&end) - count(&start));
-        };
-        publish("store.journal.frames_written", |s| s.frames_written);
-        publish("store.journal.replayed", |s| s.frames_replayed);
-        publish("store.artifacts.hits", |s| s.artifact_hits);
-        publish("store.artifacts.misses", |s| s.artifact_misses);
+        self.obs
+            .counter("store.artifacts.hits")
+            .add(end.artifact_hits - start.artifact_hits);
+        self.obs
+            .counter("store.artifacts.misses")
+            .add(end.artifact_misses - start.artifact_misses);
         Ok(ResumableOutcome {
             report: report?,
             store_stats: end,
@@ -515,8 +506,9 @@ impl AuditPipeline {
         let (crawled, stats) = match held {
             Some(Some(crawl)) => crawl.clone(),
             held => {
-                let crawl = self.crawl_stage(net, run, &root)?;
-                if let Some(ctx) = run.and_then(|r| r.inc) {
+                let inc = run.and_then(|r| r.inc);
+                let crawl = self.crawl_stage(net, inc, &root);
+                if let Some(ctx) = inc {
                     self.commit_validators(ctx);
                 }
                 if let Some(slot) = held {
@@ -530,77 +522,39 @@ impl AuditPipeline {
     }
 
     /// Stage 1 under a `crawl` span: the listing, then its detail pages in
-    /// fixed [`CRAWL_UNIT_SIZE`] units on a claim pool of
-    /// `crawl.workers` sessions, each reused across the units its worker
-    /// claims. A journaled run replays finished units and records each new
-    /// one the moment it completes, so a crash preserves every completed
-    /// unit regardless of order — except with the validator cache armed:
-    /// the cache itself is then the crash-safe carrier for crawl state (a
-    /// run after a restart 304s its way back in less time than the frames
-    /// cost to serialize), so the crawl journals nothing. A parked fleet
-    /// slice resumes from the crawl its job carries instead.
-    fn crawl_stage(
-        &self,
-        net: &Network,
-        run: Option<Journaled<'_>>,
-        root: &Span,
-    ) -> Result<(Vec<EncodedBot>, CrawlStats), AuditError> {
+    /// fixed [`DETAIL_UNIT_SIZE`] units on a claim pool of `crawl.workers`
+    /// sessions, each reused across the units its worker claims. Given
+    /// `inc`, the crawl takes the warm path and puts every page it fetches
+    /// into the validator cache the moment it has it, so the cache is the
+    /// crawl's crash-safe state: a rerun after a crash 304s its way back
+    /// through every page the killed run crawled. A parked fleet slice
+    /// resumes from the crawl its job carries instead.
+    fn crawl_stage(&self, net: &Network, inc: Option<&IncrementalContext>, root: &Span) -> Crawl {
         let config = &self.config.crawl;
         let started = net.clock().now();
         let span = root.child("crawl");
-        let store = run.map(|r| r.store);
-        let journal = run.filter(|r| r.inc.is_none()).map(|r| r.store);
-        let validators = run
-            .and_then(|r| r.inc)
-            .map(|ctx| (&ctx.cache as &dyn ValidatorStore, &ctx.changed));
-
-        let listing = match store.and_then(|s| self.replay::<ListingIndex>(s, K_LISTING, 0)) {
-            Some(listing) => {
-                self.obs
-                    .event(Severity::Info, "store.journal", "listing replayed");
-                span.child("listing").record("replayed", 1);
-                listing
-            }
-            None => {
-                let listing =
-                    discover_listing(net, config, validators.map(|v| v.0), &self.obs, &span);
-                if let Some(store) = journal {
-                    let bytes = serde_json::to_vec(&listing).expect("listing serializes");
-                    record(store, K_LISTING, 0, bytes)?;
-                }
-                listing
-            }
-        };
+        let validators = inc.map(|ctx| (&ctx.cache as &dyn ValidatorStore, &ctx.changed));
+        let listing = discover_listing(net, config, validators.map(|v| v.0), &self.obs, &span);
 
         let units_span = span.child("units");
-        let units = claim_map(
-            listing.hrefs.chunks(CRAWL_UNIT_SIZE).collect(),
+        let Ok(units) = claim_map(
+            listing.hrefs.chunks(DETAIL_UNIT_SIZE).collect(),
             resolve_workers(config.workers),
             |worker| detail_session(net, config, worker),
             |session, unit, hrefs: &[String]| {
-                let key = unit as u64;
-                if let Some(done) =
-                    store.and_then(|s| self.replay::<DetailUnit>(s, K_CRAWL_UNIT, key))
-                {
-                    units_span.child_keyed("unit", key).record("replayed", 1);
-                    return Ok::<_, AuditError>((done, Vec::new()));
-                }
+                let unit = unit as u64;
                 let out = crawl_detail_unit(
                     session,
                     config,
                     hrefs,
-                    key,
+                    unit,
                     validators,
                     &self.obs,
                     &units_span,
                 );
-                if let Some(store) = journal {
-                    let bytes = serde_json::to_vec(&out.0).expect("crawl unit serializes");
-                    record(store, K_CRAWL_UNIT, key, bytes)?;
-                }
-                Ok(out)
+                Ok::<_, Infallible>(out)
             },
-        )?;
+        );
         drop(units_span);
 
         let (crawled, mut stats) = assemble(&listing, units);
@@ -610,7 +564,7 @@ impl AuditPipeline {
         span.record("pages", stats.pages as u64);
         span.record("bots", stats.bots as u64);
         span.record("failures", stats.failures as u64);
-        Ok((crawled, stats))
+        (crawled, stats)
     }
 
     /// The crawl is complete: every validator entry now reflects this
@@ -619,8 +573,8 @@ impl AuditPipeline {
     /// changed set is then a superset of the truth, which costs extra
     /// fetches but can never reuse stale bytes.
     fn commit_validators(&self, ctx: &IncrementalContext) {
-        let cache = &ctx.cache.0;
-        if let Err(e) = cache.commit_epoch(ctx.epoch) {
+        let CacheStore { cache, epoch } = &ctx.cache;
+        if let Err(e) = cache.commit_epoch(*epoch) {
             self.obs.event(
                 Severity::Warn,
                 "store.validators",
@@ -651,10 +605,9 @@ impl AuditPipeline {
         run: Option<Journaled<'_>>,
         root: &Span,
     ) -> Result<Vec<AuditedBot>, AuditError> {
-        // Kernel counters are cumulative (per ontology instance / process-
-        // wide for the scanner), so snapshot before and publish deltas.
+        // The policy kernel counts per ontology instance, so snapshot it and
+        // publish the delta; code scans count on the pipeline as they end.
         let policy_before = self.config.ontology.kernel_stats();
-        let code_before = codeanal::scanner_kernel_stats();
         let links = LinkCache::new();
         let memo = AnalysisMemo::new();
         let span = root.child("analysis");
@@ -674,7 +627,7 @@ impl AuditPipeline {
             },
         )?;
         drop(span);
-        self.publish_analysis_metrics(&links, &memo, policy_before, code_before);
+        self.publish_analysis_metrics(&links, &memo, policy_before);
         Ok(bots)
     }
 
@@ -729,10 +682,10 @@ impl AuditPipeline {
         })
     }
 
-    /// Stage 4. A journaled run replays its journaled campaign, or runs
-    /// the campaign through the artifact pack's guild transcripts and
-    /// journals the report as one unit. A run whose kill switch would
-    /// refuse that unit stops before the campaign starts.
+    /// Stage 4. A journaled run drives the campaign through the artifact
+    /// pack's guild transcripts, and its store counts the campaign as one
+    /// durable write once it ends. A run whose kill switch would refuse
+    /// that write stops before the campaign starts.
     fn honeypot_stage(
         &self,
         eco: &Ecosystem,
@@ -741,43 +694,29 @@ impl AuditPipeline {
         let Some(run) = run else {
             return Ok(self.run_honeypot(eco));
         };
-        if let Some(report) = self.replay(run.store, K_HONEYPOT, 0) {
-            self.obs
-                .event(Severity::Info, "store.journal", "honeypot replayed");
-            return Ok(report);
-        }
         // A world never serves two campaigns: a sliced run keeps its world
-        // across parks, so it parks before a campaign whose frame the kill
-        // switch would refuse rather than after it.
+        // across parks, so it parks before a campaign the kill switch would
+        // refuse to count rather than after it.
         if run.store.budget_spent() {
             return Err(interrupted(run.store));
         }
         let fingerprint = delivery_scoped(run.fingerprint, eco);
         let report = self.dynamic_stage(eco, Some((run.store, fingerprint)));
-        let bytes = serde_json::to_vec(&report).expect("campaign serializes");
-        record(run.store, K_HONEYPOT, 0, bytes)?;
+        run.store.record_campaign();
         Ok(report)
     }
 
-    /// The journaled payload of unit `(kind, key)`, decoded, if any.
-    fn replay<T: Deserialize>(&self, store: &AuditStore, kind: u16, key: u64) -> Option<T> {
-        self.decode(
-            &store.lookup_unit(kind, key)?,
-            format_args!("unit {kind:#06x}/{key}"),
-        )
-    }
-
-    /// Decode a journal payload or artifact blob, named `what` in the
+    /// Decode an analysis blob or guild transcript, named `what` in the
     /// warning. One that passed its CRC but not the decoder — say, written
     /// by an older build under the same fingerprint — is a miss: the caller
-    /// recomputes it, and a re-recorded unit's later frame wins on replay.
+    /// recomputes it.
     fn decode<T: Deserialize>(&self, bytes: &[u8], what: fmt::Arguments<'_>) -> Option<T> {
         let decoded = serde_json::from_slice(bytes).ok();
         if decoded.is_none() {
-            self.obs.counter("store.journal.undecodable").incr();
+            self.obs.counter("store.artifacts.undecodable").incr();
             self.obs.event(
                 Severity::Warn,
-                "store.journal",
+                "store.artifacts",
                 format!("{what} does not decode — recomputing"),
             );
         }
@@ -789,12 +728,12 @@ impl AuditPipeline {
     /// transcripts hash under — guild transcripts live in the artifact pack
     /// under [`guild_snapshot_key`] addresses: the run re-drives only the
     /// guilds whose bot identity (name, invite, behaviour class) has no
-    /// transcript there, and stores the transcript of every guild it set up
-    /// for the next run. Snapshot lookups use [`AuditStore::artifact_peek`]
-    /// and report on `honeypot.guilds_reused`, keeping the artifact
-    /// hit/miss counters an exact census of per-bot analyses. Without a
-    /// store the campaign drives every guild and touches no counter of
-    /// reuse.
+    /// transcript there that decodes, and stores the transcript of every
+    /// guild it set up for the next run. Snapshot lookups use
+    /// [`AuditStore::artifact_peek`] and report on `honeypot.guilds_reused`,
+    /// keeping the artifact hit/miss counters an exact census of per-bot
+    /// analyses. Without a store the campaign drives every guild and
+    /// touches no counter of reuse.
     pub(crate) fn run_campaign<S: ChatSubstrate>(
         &self,
         substrate: S,
@@ -817,10 +756,9 @@ impl AuditPipeline {
                     .expect("sampled bot is in its own name list");
                 let class = format!("{class:?}");
                 let key = guild_snapshot_key(fingerprint, index, &bot.name, &bot.invite, &class);
-                if let Some(snap) = store
-                    .artifact_peek(&key)
-                    .and_then(|blob| serde_json::from_slice::<GuildSnapshot>(&blob).ok())
-                {
+                if let Some(snap) = store.artifact_peek(&key).and_then(|blob| {
+                    self.decode::<GuildSnapshot>(&blob, format_args!("guild of {}", bot.name))
+                }) {
                     reuse.insert(bot.name.clone(), snap);
                 }
                 keys.insert(bot.name.clone(), key);
@@ -870,12 +808,17 @@ mod tests {
         let plain = pipeline().run_full(&eco).canonical_json();
 
         let eco = world();
-        let outcome = pipeline()
+        let run = pipeline();
+        let outcome = run
             .run_resumable(&eco, &StoreConfig::in_memory(), 13)
             .unwrap();
         assert_eq!(outcome.report.canonical_json(), plain);
-        assert!(outcome.store_stats.frames_written > 0);
-        assert_eq!(outcome.store_stats.frames_replayed, 0);
+        // A cold store: every page fetched in full and cached, every
+        // analysis computed, every guild driven.
+        let obs = run.obs();
+        assert_eq!(obs.counter_value("crawl.validated"), 0);
+        assert!(obs.counter_value("store.validators.entries") > 0);
+        assert_eq!(obs.counter_value("honeypot.guilds_reused"), 0);
         assert_eq!(outcome.store_stats.artifact_hits, 0);
         assert_eq!(outcome.store_stats.artifact_misses, 90);
     }
@@ -896,10 +839,9 @@ mod tests {
         let clean = pipeline()
             .run_resumable(&world(), &StoreConfig::in_memory(), 13)
             .unwrap();
-        // The campaign's frame is the last durable write but one, before
-        // `K_COMPLETE`; every analysis miss before it wrote a pack frame.
-        let stats = clean.store_stats;
-        let budget = stats.frames_written + stats.artifact_misses - 2;
+        // The campaign is the last durable write; every analysis miss
+        // before it wrote a pack frame.
+        let budget = clean.store_stats.artifact_misses;
         let cfg = StoreConfig::in_memory().killing_after(budget);
         let killed = pipeline();
         match killed.run_resumable(&world(), &cfg, 13).unwrap_err() {
@@ -912,12 +854,13 @@ mod tests {
             "the campaign never started"
         );
 
-        let resumed = pipeline()
+        let rerun = pipeline();
+        let resumed = rerun
             .run_resumable(
                 &world(),
                 &StoreConfig {
                     kill_after_frames: None,
-                    ..cfg.resuming()
+                    ..cfg
                 },
                 13,
             )
@@ -926,10 +869,12 @@ mod tests {
             resumed.report.canonical_json(),
             clean.report.canonical_json()
         );
+        assert_eq!(resumed.store_stats.artifact_hits, budget);
+        assert_eq!(rerun.obs().counter_value("honeypot.guilds_reused"), 0);
     }
 
     #[test]
-    fn a_journal_of_another_world_shape_starts_over() {
+    fn a_store_of_another_world_shape_reports_like_a_fresh_one() {
         let world = |bots| build_ecosystem(&EcosystemConfig::test_scale(bots, 77));
         let shared = StoreConfig::in_memory();
         pipeline().run_resumable(&world(100), &shared, 77).unwrap();
@@ -937,15 +882,9 @@ mod tests {
         let fresh = pipeline()
             .run_resumable(&world(200), &StoreConfig::in_memory(), 77)
             .unwrap();
-        let resumed = pipeline()
-            .run_resumable(&world(200), &shared.resuming(), 77)
-            .unwrap();
-        assert_eq!(resumed.store_stats.frames_replayed, 0);
-        assert_eq!(resumed.report.bots.len(), 200);
-        assert_eq!(
-            resumed.report.canonical_json(),
-            fresh.report.canonical_json()
-        );
+        let rerun = pipeline().run_resumable(&world(200), &shared, 77).unwrap();
+        assert_eq!(rerun.report.bots.len(), 200);
+        assert_eq!(rerun.report.canonical_json(), fresh.report.canonical_json());
     }
 
     #[test]
@@ -960,12 +899,13 @@ mod tests {
         pipeline().run_resumable(&eco, &cfg, 13).unwrap_err();
 
         let eco = world();
-        let resumed = pipeline()
+        let rerun = pipeline();
+        let resumed = rerun
             .run_resumable(
                 &eco,
                 &StoreConfig {
                     kill_after_frames: None,
-                    ..cfg.resuming()
+                    ..cfg
                 },
                 13,
             )
@@ -975,10 +915,14 @@ mod tests {
             uninterrupted.report.canonical_json(),
             "resumed run must be byte-identical"
         );
+        // The killed run finished its crawl: the rerun answers every page
+        // with a 304 and serves the analyses stored before the crash.
+        assert!(rerun.obs().counter_value("crawl.validated") > 0);
+        assert_eq!(rerun.obs().counter_value("crawl.fetched_full"), 0);
         let stats = resumed.store_stats;
-        assert!(stats.frames_replayed + stats.artifact_hits >= 20);
+        assert!(stats.artifact_hits >= 20);
         assert!(
-            resumed.store_stats.artifact_misses < 90,
+            stats.artifact_misses < 90,
             "resume must reuse analyses computed before the crash"
         );
     }
@@ -990,21 +934,22 @@ mod tests {
         let cold = pipeline().run_resumable(&eco, &cfg, 13).unwrap();
         assert_eq!(cold.store_stats.artifact_misses, 90);
 
-        // Fresh journal, warm pack: full re-crawl, zero re-analysis.
+        // A rerun over the same store: no page body, zero re-analysis.
         let eco = world();
         let warm_pipeline = pipeline();
         let warm = warm_pipeline.run_resumable(&eco, &cfg, 13).unwrap();
         assert_eq!(warm.store_stats.artifact_hits, 90);
         assert_eq!(warm.store_stats.artifact_misses, 0);
-        // The policy kernel counter is per-ontology-instance (mirrored into
-        // this pipeline's obs registry), so it cleanly proves no analyzer
-        // ran. (The code kernel counter is process-wide and other tests race
-        // it; the artifact counters above cover it.)
-        assert_eq!(
-            warm_pipeline.obs().counter_value("policy.scan_passes"),
-            0,
-            "no keyword scans on a warm pack"
-        );
+        assert_eq!(warm_pipeline.obs().counter_value("crawl.fetched_full"), 0);
+        // Both kernel counters are this pipeline's own, so they cleanly
+        // prove no analyzer ran.
+        for kernel in ["policy.scan_passes", "code.scan_passes"] {
+            assert_eq!(
+                warm_pipeline.obs().counter_value(kernel),
+                0,
+                "no {kernel} on a warm pack"
+            );
+        }
         assert_eq!(warm.report.canonical_json(), cold.report.canonical_json());
     }
 
@@ -1028,7 +973,10 @@ mod tests {
             outcome.report.canonical_json(),
             clean.report.canonical_json()
         );
-        assert_eq!(garbled.obs().counter_value("store.journal.undecodable"), 1);
+        assert_eq!(
+            garbled.obs().counter_value("store.artifacts.undecodable"),
+            1
+        );
         let stats = outcome.store_stats;
         assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 89));
     }
@@ -1063,8 +1011,8 @@ mod tests {
                 "{platform}: an empty pack holds no transcript"
             );
 
-            // Fresh journal, same pack: every guild the cold run populated
-            // is served from its stored transcript.
+            // A rerun over the same store: every guild the cold run
+            // populated is served from its stored transcript.
             let warm_pipeline = AuditPipeline::new(config);
             let warm = warm_pipeline.run_resumable(&world(), &cfg, 13).unwrap();
             assert_eq!(
@@ -1081,7 +1029,7 @@ mod tests {
     }
 
     #[test]
-    fn delivery_rules_scope_journals_and_guild_transcripts() {
+    fn delivery_rules_scope_guild_transcripts() {
         // The planted snooper is caught in the default world and starved
         // under either delivery rule, so a transcript replayed across
         // rules would show in the report.
@@ -1127,13 +1075,10 @@ mod tests {
                 .unwrap();
             assert!(campaign(&fresh).detections.is_empty(), "{rule}: starved");
 
-            // Resumed over another world's complete journal and its pack:
-            // neither a unit nor a transcript is replayed.
+            // Over the store another rule's complete run left: no
+            // transcript is replayed.
             let first = pipeline();
-            let shared_run = first
-                .run_resumable(&world(), &shared.clone().resuming(), 77)
-                .unwrap();
-            assert_eq!(shared_run.store_stats.frames_replayed, 0, "{rule}");
+            let shared_run = first.run_resumable(&world(), &shared, 77).unwrap();
             assert_eq!(
                 first.obs().counter_value("honeypot.guilds_reused"),
                 0,
@@ -1162,44 +1107,76 @@ mod tests {
     }
 
     #[test]
-    fn only_a_run_with_a_validator_cache_asks_the_change_feed() {
+    fn a_journaled_run_whose_change_feed_is_down_names_it_and_crawls_cold() {
         // A listing mirror that is down: its change feed cannot answer.
         let mut config = AuditConfig {
             honeypot_sample: 2,
             ..AuditConfig::default()
         };
         config.crawl.list_host = "mirror.offline".into();
-        let warned = |pipeline: &AuditPipeline| {
-            pipeline
-                .obs()
-                .events()
-                .iter()
-                .any(|e| e.message.contains("change feed unavailable"))
-        };
-
-        let resumable = AuditPipeline::new(config.clone());
-        resumable
-            .run_resumable(&world(), &StoreConfig::in_memory(), 13)
-            .unwrap();
-        assert!(!warned(&resumable), "no cache, no feed to miss");
-
+        let plain = AuditPipeline::new(config.clone())
+            .run_full(&world())
+            .canonical_json();
         let store = StoreConfig::in_memory();
-        let pack = ArtifactCache::open(store.backend.clone(), PACK_FILE).unwrap();
-        let cache =
-            ValidatorCache::open(store.backend.clone(), run_fingerprint(&config, 13)).unwrap();
-        let incremental = AuditPipeline::new(config);
-        incremental
-            .run_carried(
-                &world(),
-                &store,
-                13,
-                1,
-                Arc::new(pack),
-                Some(Arc::new(cache)),
-                None,
-            )
-            .unwrap();
-        assert!(warned(&incremental), "a cache whose feed is down is named");
+        for run in 0..2 {
+            let journaled = AuditPipeline::new(config.clone());
+            let outcome = journaled.run_resumable(&world(), &store, 13).unwrap();
+            assert_eq!(outcome.report.canonical_json(), plain, "run {run}");
+            let obs = journaled.obs();
+            assert!(
+                obs.events()
+                    .iter()
+                    .any(|e| e.message.contains("change feed unavailable")),
+                "run {run}: a cache whose feed is down is named"
+            );
+            // Cold: nothing revalidated, and the cache never committed.
+            assert_eq!(obs.counter_value("crawl.validated"), 0, "run {run}");
+            assert_eq!(obs.counter_value("store.validators.entries"), 0);
+        }
+    }
+
+    /// A backend whose validator cache cannot be read.
+    struct NoValidators(MemBackend);
+
+    impl Backend for NoValidators {
+        fn read(&self, name: &str) -> std::io::Result<Option<Vec<u8>>> {
+            if name == store::VALIDATOR_FILE {
+                return Err(std::io::Error::other("unreadable"));
+            }
+            self.0.read(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.write_atomic(name, bytes)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.append(name, bytes)
+        }
+        fn remove(&self, name: &str) -> std::io::Result<()> {
+            self.0.remove(name)
+        }
+    }
+
+    #[test]
+    fn a_journaled_run_whose_validator_cache_cannot_open_names_it_and_crawls_cold() {
+        let plain = pipeline().run_full(&world()).canonical_json();
+        let store = StoreConfig {
+            backend: Arc::new(NoValidators(MemBackend::new())),
+            kill_after_frames: None,
+        };
+        let journaled = pipeline();
+        let outcome = journaled.run_resumable(&world(), &store, 13).unwrap();
+        assert_eq!(outcome.report.canonical_json(), plain);
+        let obs = journaled.obs();
+        assert!(obs
+            .events()
+            .iter()
+            .any(|e| e.target == "store.validators" && e.message.contains("crawling cold")));
+        assert_eq!(obs.counter_value("crawl.validated"), 0);
+        // The pack still carries the run: every analysis is stored.
+        assert_eq!(
+            outcome.store_stats.artifact_misses as usize,
+            outcome.report.bots.len()
+        );
     }
 
     #[test]

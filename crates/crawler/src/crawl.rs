@@ -27,8 +27,8 @@ use std::collections::BTreeSet;
 use std::convert::Infallible;
 
 /// Detail hrefs per [`crawl_detail_unit`] call. Fixed — never derived
-/// from the worker count — so a journal of units has the same layout
-/// whatever parallelism produced it.
+/// from the worker count — so the unit spans a trace keys by index have
+/// the same layout whatever parallelism produced them.
 pub const DETAIL_UNIT_SIZE: usize = 32;
 
 /// Crawl parameters.
@@ -360,10 +360,9 @@ pub fn assemble(
     (bots, stats)
 }
 
-/// Session overhead counters carried inside journaled crawl units, so a
-/// resumed run reports the spend of the work it actually performed (replayed
-/// units contribute the spend recorded when they first ran).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Session overhead counters: what a listing traversal or a detail unit
+/// spent, summed by [`assemble`] into the crawl's totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SessionOverhead {
     /// Captchas solved during the unit.
     pub captchas_solved: u64,
@@ -400,10 +399,8 @@ impl SessionOverhead {
     }
 }
 
-/// Phase A of the crawl as a journalable unit: the merged listing-page
-/// traversal. Serializable so the resumable pipeline can record it once and
-/// replay it across process restarts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Phase A of the crawl: the merged listing-page traversal.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ListingIndex {
     /// Bot detail hrefs, in listing order.
     pub hrefs: Vec<String>,
@@ -413,11 +410,10 @@ pub struct ListingIndex {
     pub overhead: SessionOverhead,
 }
 
-/// One journalable chunk of phase B: the detail-page outcomes for a
-/// contiguous slice of the listing, in listing order. `None` marks a dead
-/// listing entry (a crawl failure), preserved so replay reproduces the
-/// failure count exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One chunk of phase B: the detail-page outcomes for a contiguous slice
+/// of the listing, in listing order. `None` marks a dead listing entry (a
+/// crawl failure), preserved so [`assemble`] counts it.
+#[derive(Debug, Clone)]
 pub struct DetailUnit {
     /// Per-href outcome, aligned with the input slice.
     pub results: Vec<Option<CrawledBot>>,
@@ -537,6 +533,7 @@ fn traverse_listing(
     ScopedCounter::new(obs, config, "pages_fetched").add(index.pages as u64);
     ScopedCounter::new(obs, config, "fetched_full").add(index.pages as u64);
     ScopedCounter::new(obs, config, "captchas_solved").add(index.overhead.captchas_solved);
+    ScopedCounter::new(obs, config, "rate_limited").add(session.rate_limited());
     ScopedCounter::new(obs, config, "email_verifications").add(index.overhead.email_verifications);
     let validators = (clean && !etags.is_empty()).then_some((etags, body_bytes));
     (index, validators)
@@ -550,9 +547,8 @@ fn traverse_listing(
 /// The session is the caller's: a pool worker reuses one across every
 /// unit it claims, the way one polite crawler pays its captchas and email
 /// walls. The unit's [`DetailUnit::overhead`] is the spend accrued during
-/// this call. Content is session-independent, so the results — and
-/// replaying a journaled unit instead of crawling it — are identical
-/// whichever session ran it.
+/// this call. Content is session-independent, so the results are
+/// identical whichever session ran it.
 ///
 /// With `validators` (the validator store plus the change ledger's
 /// changed hrefs) each href takes the conditional-fetch warm path of
@@ -571,6 +567,7 @@ pub fn crawl_detail_unit(
 ) -> (DetailUnit, Vec<Option<Vec<u8>>>) {
     let span = parent.child_keyed("unit", unit);
     let before = SessionOverhead::of(session);
+    let rate_limited = session.rate_limited();
     let counters = DetailCounters::new(obs, config);
     let mut results: Vec<Option<CrawledBot>> = Vec::with_capacity(hrefs.len());
     let mut raws: Vec<Option<Vec<u8>>> = Vec::new();
@@ -599,6 +596,7 @@ pub fn crawl_detail_unit(
     ScopedCounter::new(obs, config, "detail_failures").add(results.len() as u64 - ok);
     let overhead = SessionOverhead::since(session, &before);
     ScopedCounter::new(obs, config, "captchas_solved").add(overhead.captchas_solved);
+    ScopedCounter::new(obs, config, "rate_limited").add(session.rate_limited() - rate_limited);
     ScopedCounter::new(obs, config, "email_verifications").add(overhead.email_verifications);
     (DetailUnit { results, overhead }, raws)
 }

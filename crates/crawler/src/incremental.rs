@@ -24,7 +24,10 @@
 //! a validator store. Persistence is the caller's business: the crawl sees
 //! a [`ValidatorStore`] — a string-keyed byte map — and `crates/store`
 //! provides the journaled, crash-safe implementation (`ValidatorCache`)
-//! that lives next to the artifact pack.
+//! that lives next to the artifact pack. Every page lands there the moment
+//! it is fetched, so the store is also the crawl's crash-safe state: a
+//! rerun after a crash answers every page the killed run crawled with a
+//! 304.
 //!
 //! Cost accounting lands on `crawl.*` counters:
 //!
@@ -139,16 +142,22 @@ pub struct CachedDetail {
 }
 
 /// Ask the listing site which bots' crawl bytes changed after `since`,
-/// walking the paginated `/changed` feed. Returns `None` when the feed is
-/// unreachable or malformed — the caller must then treat *everything* as
-/// changed (i.e. crawl cold), because reuse without the ledger's blessing
-/// could trust a validator the site no longer honours.
+/// walking the paginated `/changed` feed. Returns the changed hrefs and the
+/// epoch the site serves (its `x-changed-epoch` header; `since` if a page
+/// lacks it), which is what a completed crawl's validators then describe.
+///
+/// Returns `None` when the feed is unreachable or malformed, or serves an
+/// epoch before `since` (a world older than the one the validators were
+/// taken from, whose ledger cannot name what changed) — the caller must
+/// then treat *everything* as changed (i.e. crawl cold), because reuse
+/// without the ledger's blessing could trust a validator the site no
+/// longer honours.
 pub fn fetch_changed_hrefs(
     net: &Network,
     host: &str,
     since: u32,
     obs: &Obs,
-) -> Option<BTreeSet<String>> {
+) -> Option<(BTreeSet<String>, u32)> {
     let mut client = HttpClient::new(
         net.clone(),
         ClientConfig::crawler("measurement-crawler/1.0 (change-probe)"),
@@ -173,9 +182,16 @@ pub fn fetch_changed_hrefs(
             .header("x-total-pages")
             .and_then(|t| t.parse().ok())
             .unwrap_or(1);
+        let epoch: u32 = resp
+            .header("x-changed-epoch")
+            .and_then(|e| e.parse().ok())
+            .unwrap_or(since);
+        if epoch < since {
+            return None;
+        }
         page += 1;
         if page >= total {
-            return Some(out);
+            return Some((out, epoch));
         }
     }
 }
@@ -214,6 +230,7 @@ pub(crate) fn revalidate_listing(
     ScopedCounter::new(obs, config, "validator_hits").add(cached.pages as u64);
     ScopedCounter::new(obs, config, "bytes_saved").add(cached.bytes);
     ScopedCounter::new(obs, config, "captchas_solved").add(session.captchas_solved);
+    ScopedCounter::new(obs, config, "rate_limited").add(session.rate_limited());
     ScopedCounter::new(obs, config, "email_verifications").add(session.email_verifications);
     Some(ListingIndex {
         hrefs: cached.hrefs,
@@ -643,15 +660,21 @@ mod tests {
         let all = fetch_changed_hrefs(&net2, LIST_HOST, 0, &obs).unwrap();
         assert_eq!(
             all,
-            ["/bot/1", "/bot/2", "/bot/4"]
-                .into_iter()
-                .map(String::from)
-                .collect()
+            (
+                ["/bot/1", "/bot/2", "/bot/4"]
+                    .into_iter()
+                    .map(String::from)
+                    .collect(),
+                2
+            )
         );
         let since_1 = fetch_changed_hrefs(&net2, LIST_HOST, 1, &obs).unwrap();
-        assert_eq!(since_1, ["/bot/1".to_string()].into());
+        assert_eq!(since_1, (["/bot/1".to_string()].into(), 2));
         let since_2 = fetch_changed_hrefs(&net2, LIST_HOST, 2, &obs).unwrap();
-        assert!(since_2.is_empty());
+        assert_eq!(since_2, (BTreeSet::new(), 2));
+        // Validators taken from a later world than the site serves: the
+        // ledger cannot name what changed, so the feed is unusable.
+        assert_eq!(fetch_changed_hrefs(&net2, LIST_HOST, 3, &obs), None);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! [`incremental::ValidatorStore`]: with one, cached validators plus the
 //! site's `changed-since` ledger turn an unchanged page into one cheap 304
 //! round-trip on re-audit ([`incremental`]). The audit pipeline composes
-//! them itself so it can journal the listing and every unit.
+//! them itself so it can trace the crawl under its own root span and hand
+//! the units its validator cache.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

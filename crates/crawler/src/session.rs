@@ -202,6 +202,11 @@ impl ScrapeSession {
     pub fn http(&mut self) -> &mut HttpClient {
         &mut self.http
     }
+
+    /// 429 responses the session's client has received.
+    pub fn rate_limited(&self) -> u64 {
+        self.http.stats().rate_limited
+    }
 }
 
 /// Parse a response body as HTML straight from its bytes: valid UTF-8 (every
@@ -311,6 +316,10 @@ mod tests {
             }
         }
         assert!(limited > 0, "impolite crawling hit the wall");
+        assert!(
+            session.rate_limited() >= limited,
+            "every refused fetch met a 429 the session counts"
+        );
     }
 
     #[test]

@@ -400,6 +400,11 @@ impl<'a> StreamMatcher<'a> {
         self.consumed += 1;
         &self.automaton.outputs[self.state as usize]
     }
+
+    /// Bytes pushed so far: what the pass records when dropped.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
+    }
 }
 
 impl Drop for StreamMatcher<'_> {

@@ -22,8 +22,8 @@ pub const OPLOG_FILE: &str = "oplog.wal";
 
 /// Frame kind of a committed epoch record.
 ///
-/// Distinct from every kind the resumable pipeline journals (`0x00xx`) and
-/// from the validator cache's (`0x01xx`); the oplog lives in its own file,
+/// Distinct from the artifact pack's kinds (`0x00xx`) and from the
+/// validator cache's (`0x01xx`); the oplog lives in its own file,
 /// but unique kinds keep frames self-describing if files are ever merged.
 pub const K_EPOCH: u16 = 0x0200;
 

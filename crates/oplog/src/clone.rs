@@ -3,7 +3,7 @@
 //! A clone copies a tenant's *state* — artifact pack, validator cache, and
 //! a genesis epoch record equal to the source's head — but none of its
 //! *history*: the clone's chain starts at one frame, and the source's
-//! journal of pipeline units is not carried over. That is exactly what a
+//! earlier epoch records are not carried over. That is exactly what a
 //! cheap what-if re-audit needs: warm artifact hits and conditional
 //! fetches from the snapshot, a delta baseline at the snapshot epoch, and
 //! no risk of the experiment contaminating the original's history.

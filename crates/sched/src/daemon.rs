@@ -151,7 +151,7 @@ impl Default for DaemonConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCtx {
     /// Cooperative-preemption budget for this dispatch, in durable writes
-    /// (the executor's journal frames and pack frames). `None` means run
+    /// (the executor's pack frames). `None` means run
     /// to completion; `Some(n)` asks the executor to park
     /// ([`StepResult::Parked`]) before a write past the `n`th.
     pub slice_frames: Option<u64>,

@@ -1,8 +1,8 @@
 //! The frame log under every store file.
 //!
-//! The pipeline's unit journal, the artifact pack, the validator cache and
-//! the epoch chain are all append-only logs of [`Frame`]s, and [`Journal`]
-//! is the only code that reads, repairs, appends to or rewrites them.
+//! The artifact pack, the validator cache and the epoch chain are all
+//! append-only logs of [`Frame`]s, and [`Journal`] is the only code that
+//! reads, repairs, appends to or rewrites them.
 //! Opening a journal replays the longest valid frame prefix (torn tails and
 //! flipped bits are detected by the frame checksums) and, when the file
 //! carries damage, truncates it back to that prefix with one atomic rewrite
@@ -17,7 +17,6 @@
 use crate::backend::Backend;
 use crate::frame::{decode_all, Decoded, Frame, StopReason};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What [`Journal::open`] found in the file.
@@ -38,7 +37,7 @@ pub struct Kept {
     /// The resumed log's frames, header first; empty when the file started
     /// over.
     pub frames: Vec<Frame>,
-    /// True when a resuming open started over and dropped valid frames of
+    /// True when the open started over and dropped valid frames of
     /// another identity.
     pub discarded: bool,
 }
@@ -52,8 +51,6 @@ pub struct Journal {
     // whether an append failed since the file was last known whole: the
     // file may then end in a torn frame, which the next append repairs.
     append_lock: Mutex<bool>,
-    frames_written: AtomicU64,
-    frames_replayed: AtomicU64,
 }
 
 impl Journal {
@@ -61,7 +58,7 @@ impl Journal {
     /// existing contents.
     pub fn open(backend: Arc<dyn Backend>, file: &str) -> io::Result<(Journal, Replay)> {
         let (decoded, repaired) = read_repaired(&*backend, file)?;
-        let journal = Journal::over(backend, file, decoded.frames.len());
+        let journal = Journal::over(backend, file);
         let replay = Replay {
             frames: decoded.frames,
             valid_bytes: decoded.valid_bytes,
@@ -74,49 +71,40 @@ impl Journal {
     /// first frame, `header`, carries: its kind and the first eight bytes
     /// of its payload (the caller's fingerprint).
     ///
-    /// With `resume`, a file whose first frame has that kind and
-    /// fingerprint keeps its frames. Any other file — foreign, empty, or
-    /// absent — starts over holding only `header`. Without `resume` the
-    /// file starts over without its old contents ever being read.
+    /// A file whose first frame has that kind and fingerprint keeps its
+    /// frames. Any other file — foreign, empty, or absent — starts over
+    /// holding only `header`.
     pub fn open_as(
         backend: Arc<dyn Backend>,
         file: &str,
         header: Frame,
-        resume: bool,
     ) -> io::Result<(Journal, Kept)> {
-        let mut discarded = false;
-        if resume {
-            let (journal, replay) = Journal::open(Arc::clone(&backend), file)?;
-            let ours = replay.frames.first().is_some_and(|first| {
-                first.kind == header.kind && first.payload.get(..8) == header.payload.get(..8)
-            });
-            if ours {
-                let kept = Kept {
-                    frames: replay.frames,
-                    discarded,
-                };
-                return Ok((journal, kept));
-            }
-            discarded = !replay.frames.is_empty();
+        let (journal, replay) = Journal::open(Arc::clone(&backend), file)?;
+        let ours = replay.frames.first().is_some_and(|first| {
+            first.kind == header.kind && first.payload.get(..8) == header.payload.get(..8)
+        });
+        if ours {
+            let kept = Kept {
+                frames: replay.frames,
+                discarded: false,
+            };
+            return Ok((journal, kept));
         }
         backend.write_atomic(file, &[])?;
-        let journal = Journal::over(backend, file, 0);
         journal.append(header.kind, header.key, header.payload)?;
         let kept = Kept {
             frames: Vec::new(),
-            discarded,
+            discarded: !replay.frames.is_empty(),
         };
         Ok((journal, kept))
     }
 
-    /// A handle on `file`, whose `replayed` frames were just read.
-    fn over(backend: Arc<dyn Backend>, file: &str, replayed: usize) -> Journal {
+    /// A handle on `file`.
+    fn over(backend: Arc<dyn Backend>, file: &str) -> Journal {
         Journal {
             backend,
             file: file.to_string(),
             append_lock: Mutex::new(false),
-            frames_written: AtomicU64::new(0),
-            frames_replayed: AtomicU64::new(replayed as u64),
         }
     }
 
@@ -134,7 +122,6 @@ impl Journal {
             *failed = true;
             return Err(e);
         }
-        self.frames_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -158,16 +145,6 @@ impl Journal {
         Ok(decode_all(
             &self.backend.read(&self.file)?.unwrap_or_default(),
         ))
-    }
-
-    /// Frames appended through this handle (not counting replayed ones).
-    pub fn frames_written(&self) -> u64 {
-        self.frames_written.load(Ordering::Relaxed)
-    }
-
-    /// Frames recovered at open time.
-    pub fn frames_replayed(&self) -> u64 {
-        self.frames_replayed.load(Ordering::Relaxed)
     }
 }
 
@@ -199,13 +176,11 @@ mod tests {
         assert!(replay.frames.is_empty());
         journal.append(1, 10, b"alpha".to_vec()).unwrap();
         journal.append(2, 20, b"beta".to_vec()).unwrap();
-        assert_eq!(journal.frames_written(), 2);
 
-        let (journal2, replay2) = Journal::open(backend, "wal").unwrap();
+        let (_, replay2) = Journal::open(backend, "wal").unwrap();
         assert_eq!(replay2.frames.len(), 2);
         assert_eq!(replay2.frames[1].payload, b"beta");
         assert!(!replay2.repaired);
-        assert_eq!(journal2.frames_replayed(), 2);
     }
 
     #[test]
@@ -278,13 +253,12 @@ mod tests {
         let wrong_kind = file(&[&header(8, 42), &unit]);
         let own_log = file(&[&ours, &unit]);
         let fresh = ours.encoded_len();
-        // (case, old file, resume, frames kept, discarded, I/O made)
+        // (case, old file, frames kept, discarded, I/O made)
         let start_over = |old: usize| vec![("read", old), ("write_atomic", 0), ("append", fresh)];
         let cases = [
             (
                 "same fingerprint",
                 own_log.clone(),
-                true,
                 vec![ours.clone(), unit.clone()],
                 false,
                 vec![("read", own_log.len())],
@@ -292,7 +266,6 @@ mod tests {
             (
                 "foreign fingerprint",
                 theirs.clone(),
-                true,
                 vec![],
                 true,
                 start_over(theirs.len()),
@@ -300,39 +273,29 @@ mod tests {
             (
                 "wrong first kind",
                 wrong_kind.clone(),
-                true,
                 vec![],
                 true,
                 start_over(wrong_kind.len()),
             ),
-            ("empty file", vec![], true, vec![], false, start_over(0)),
-            (
-                "without resume",
-                own_log.clone(),
-                false,
-                vec![],
-                false,
-                vec![("write_atomic", 0), ("append", fresh)],
-            ),
+            ("empty file", vec![], vec![], false, start_over(0)),
         ];
-        for (case, old, resume, frames, discarded, io) in cases {
+        for (case, old, frames, discarded, io) in cases {
             let backend = Arc::new(LogBackend::default());
             backend.inner.poke("wal", old.clone());
-            let (journal, kept) =
-                Journal::open_as(backend.clone(), "wal", ours.clone(), resume).unwrap();
+            let (_, kept) = Journal::open_as(backend.clone(), "wal", ours.clone()).unwrap();
             assert_eq!(kept.frames, frames, "{case}");
             assert_eq!(kept.discarded, discarded, "{case}");
             assert_eq!(backend.take_log(), io, "{case}");
-            let resumed = !frames.is_empty();
-            let expect = if resumed { old } else { file(&[&ours]) };
+            let expect = if frames.is_empty() {
+                file(&[&ours])
+            } else {
+                old
+            };
             assert_eq!(
                 backend.inner.read("wal").unwrap().unwrap(),
                 expect,
                 "{case}"
             );
-            let counts = (journal.frames_replayed(), journal.frames_written());
-            let expect = if resumed { (2, 0) } else { (0, 1) };
-            assert_eq!(counts, expect, "{case}");
         }
     }
 }

@@ -5,24 +5,30 @@
 //! processes, which validator (ETag) each page served last time and what
 //! body that validator covered. [`ValidatorCache`] persists exactly that:
 //! a string-keyed map (URL → opaque caller bytes) journaled through the
-//! same crash-safe [`Journal`] as the pipeline's unit log, with the same
+//! crash-safe [`Journal`] under every store file, with its one
 //! identity-checked open ([`Journal::open_as`]), living in its own file
-//! (`validators.wal`) next to the artifact pack so it survives fresh
-//! (non-resume) runs the way the pack does.
+//! (`validators.wal`) next to the artifact pack. Every journaled run arms
+//! it, so it is also the crawl's crash-safe state: a rerun after a crash
+//! answers every page the killed run crawled with a 304.
 //!
 //! The cache is *performance state, not correctness state*: a stale or
 //! missing entry only costs an extra full fetch, never a wrong report, so
 //! recovery policy is simple — any damage or identity mismatch throws the
-//! whole file away. Identity is the run fingerprint (seed + config, epoch
-//! excluded), so epoch N+1 of the same world warms from epoch N, while a
-//! different seed or crawl config starts cold.
+//! whole file away. Identity is the caller's: the audit passes its run
+//! fingerprint scoped by how the world was built, epoch excluded, so epoch
+//! N+1 of the same world warms from epoch N, while a different seed, crawl
+//! config or world starts cold.
 //!
 //! The meta frame also records the *epoch* the cached validators describe.
 //! That drives the `changed-since` cross-check: a crawler warming from
 //! epoch N asks the listing site what changed after N. The epoch is only
 //! advanced by the caller once a crawl completes, so a crash mid-crawl
 //! leaves a conservative (older) epoch behind — the next run re-checks
-//! more pages than strictly needed, which is safe.
+//! more pages than strictly needed, which is safe. Each entry records the
+//! epoch it was fetched at, in its own frame, and a read at an older epoch
+//! does not see it: a rerun against a site that serves an older epoch than
+//! a killed crawl did fetches those pages again instead of reusing bytes
+//! of a world the site no longer serves.
 //!
 //! A cache may stay open across many runs (the fleet daemon holds one per
 //! tenant), so the file must not grow without bound: committing an
@@ -47,8 +53,10 @@ pub const VALIDATOR_FILE: &str = "validators.wal";
 /// Frame kind: cache identity (fingerprint + epoch). Re-appended when the
 /// epoch advances; the latest frame wins on replay.
 const K_VALIDATOR_META: u16 = 0x0100;
-/// Frame kind: one cached entry (`key_len | key | value`).
-const K_VALIDATOR_ENTRY: u16 = 0x0101;
+/// Frame kind: one cached entry (`epoch | key_len | key | value`), tagged
+/// with the epoch it was fetched at. (0x0101 held untagged entries; a file
+/// of them carries an older identity and is discarded at open.)
+const K_VALIDATOR_ENTRY: u16 = 0x0102;
 
 /// Counters describing how an open went and what the cache holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,7 +83,8 @@ pub struct ValidatorCache {
 
 /// The in-memory map and what the file holds beyond it.
 struct Live {
-    entries: BTreeMap<String, Vec<u8>>,
+    /// Key → the epoch the entry was fetched at, and its bytes.
+    entries: BTreeMap<String, (u32, Vec<u8>)>,
     epoch: u32,
     /// Frames in the file: one meta frame and one per entry are live, the
     /// rest dead.
@@ -101,23 +110,19 @@ fn meta_frame(fingerprint: u64, epoch: u32) -> Frame {
     Frame::new(K_VALIDATOR_META, 0, encode_meta(fingerprint, epoch))
 }
 
-fn entry_frame(key: &str, value: &[u8]) -> Frame {
-    let mut payload = (key.len() as u32).to_le_bytes().to_vec();
+fn entry_frame(key: &str, epoch: u32, value: &[u8]) -> Frame {
+    let mut payload = epoch.to_le_bytes().to_vec();
+    payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
     payload.extend_from_slice(key.as_bytes());
     payload.extend_from_slice(value);
     Frame::new(K_VALIDATOR_ENTRY, fnv64(key.as_bytes()), payload)
 }
 
-fn decode_entry(payload: &[u8]) -> Option<(String, Vec<u8>)> {
-    if payload.len() < 4 {
-        return None;
-    }
-    let key_len = u32::from_le_bytes(payload[..4].try_into().ok()?) as usize;
-    if payload.len() < 4 + key_len {
-        return None;
-    }
-    let key = String::from_utf8(payload[4..4 + key_len].to_vec()).ok()?;
-    Some((key, payload[4 + key_len..].to_vec()))
+fn decode_entry(payload: &[u8]) -> Option<(String, u32, Vec<u8>)> {
+    let epoch = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?);
+    let key_len = u32::from_le_bytes(payload.get(4..8)?.try_into().ok()?) as usize;
+    let key = String::from_utf8(payload.get(8..8 + key_len)?.to_vec()).ok()?;
+    Some((key, epoch, payload[8 + key_len..].to_vec()))
 }
 
 impl ValidatorCache {
@@ -127,7 +132,7 @@ impl ValidatorCache {
     /// waste conditional fetches.
     pub fn open(backend: Arc<dyn Backend>, fingerprint: u64) -> io::Result<ValidatorCache> {
         let header = meta_frame(fingerprint, 0);
-        let (journal, kept) = Journal::open_as(backend, VALIDATOR_FILE, header, true)?;
+        let (journal, kept) = Journal::open_as(backend, VALIDATOR_FILE, header)?;
         let mut live = Live {
             entries: BTreeMap::new(),
             epoch: 0,
@@ -141,8 +146,8 @@ impl ValidatorCache {
                     }
                 }
                 K_VALIDATOR_ENTRY => {
-                    if let Some((key, value)) = decode_entry(&frame.payload) {
-                        live.entries.insert(key, value);
+                    if let Some((key, epoch, value)) = decode_entry(&frame.payload) {
+                        live.entries.insert(key, (epoch, value));
                     }
                 }
                 _ => {}
@@ -175,7 +180,7 @@ impl ValidatorCache {
         let mut live = self.live();
         let dead = live.frames.saturating_sub(1 + live.entries.len());
         if dead > live.entries.len() {
-            let entries = live.entries.iter().map(|(k, v)| entry_frame(k, v));
+            let entries = live.entries.iter().map(|(k, (e, v))| entry_frame(k, *e, v));
             self.journal
                 .replace(iter::once(meta_frame(self.fingerprint, epoch)).chain(entries))?;
             live.frames = 1 + live.entries.len();
@@ -188,18 +193,23 @@ impl ValidatorCache {
         Ok(())
     }
 
-    /// The cached bytes for `key`, if any.
-    pub fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.live().entries.get(key).cloned()
+    /// The cached bytes for `key`, if its entry was fetched at `epoch` or
+    /// before. An entry fetched at a later epoch describes a world the site
+    /// serving `epoch` does not, so it reads as absent.
+    pub fn get(&self, key: &str, epoch: u32) -> Option<Vec<u8>> {
+        let live = self.live();
+        let (fetched, value) = live.entries.get(key)?;
+        (*fetched <= epoch).then(|| value.clone())
     }
 
-    /// Durably record (or replace) an entry.
-    pub fn put(&self, key: &str, value: &[u8]) -> io::Result<()> {
+    /// Durably record (or replace) an entry fetched at `epoch`.
+    pub fn put(&self, key: &str, value: &[u8], epoch: u32) -> io::Result<()> {
         let mut live = self.live();
-        let frame = entry_frame(key, value);
+        let frame = entry_frame(key, epoch, value);
         self.journal.append(frame.kind, frame.key, frame.payload)?;
         live.frames += 1;
-        live.entries.insert(key.to_string(), value.to_vec());
+        live.entries
+            .insert(key.to_string(), (epoch, value.to_vec()));
         Ok(())
     }
 
@@ -236,20 +246,20 @@ mod tests {
     fn entries_and_epoch_survive_reopen() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 42).unwrap();
-        cache.put("https://a/x", b"etag-1|body").unwrap();
-        cache.put("https://a/y", b"etag-2|body").unwrap();
-        cache.put("https://a/x", b"etag-3|newer").unwrap();
+        cache.put("https://a/x", b"etag-1|body", 0).unwrap();
+        cache.put("https://a/y", b"etag-2|body", 0).unwrap();
+        cache.put("https://a/x", b"etag-3|newer", 0).unwrap();
         cache.commit_epoch(2).unwrap();
         drop(cache);
 
         let cache = ValidatorCache::open(backend, 42).unwrap();
         assert_eq!(cache.epoch(), 2);
         assert_eq!(
-            cache.get("https://a/x").as_deref(),
+            cache.get("https://a/x", 0).as_deref(),
             Some(&b"etag-3|newer"[..])
         );
         assert_eq!(
-            cache.get("https://a/y").as_deref(),
+            cache.get("https://a/y", 0).as_deref(),
             Some(&b"etag-2|body"[..])
         );
         assert_eq!(cache.stats().entries, 2);
@@ -260,12 +270,12 @@ mod tests {
     fn foreign_fingerprint_resets_the_cache() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 1).unwrap();
-        cache.put("k", b"v").unwrap();
+        cache.put("k", b"v", 0).unwrap();
         cache.commit_epoch(5).unwrap();
         drop(cache);
 
         let cache = ValidatorCache::open(backend, 2).unwrap();
-        assert_eq!(cache.get("k"), None, "foreign validators must not warm");
+        assert_eq!(cache.get("k", 0), None, "foreign validators must not warm");
         assert_eq!(cache.epoch(), 0);
         assert!(cache.stats().reset);
     }
@@ -274,33 +284,33 @@ mod tests {
     fn torn_tail_keeps_the_valid_prefix() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 7).unwrap();
-        cache.put("keep", b"safe").unwrap();
-        cache.put("tear", b"lost to the torn tail").unwrap();
+        cache.put("keep", b"safe", 0).unwrap();
+        cache.put("tear", b"lost to the torn tail", 0).unwrap();
         drop(cache);
 
         let bytes = backend.read(VALIDATOR_FILE).unwrap().unwrap();
         backend.poke(VALIDATOR_FILE, bytes[..bytes.len() - 4].to_vec());
 
         let cache = ValidatorCache::open(backend.clone(), 7).unwrap();
-        assert_eq!(cache.get("keep").as_deref(), Some(&b"safe"[..]));
-        assert_eq!(cache.get("tear"), None);
+        assert_eq!(cache.get("keep", 0).as_deref(), Some(&b"safe"[..]));
+        assert_eq!(cache.get("tear", 0), None);
         // And the repaired file accepts new entries that then replay.
-        cache.put("tear", b"rewritten").unwrap();
+        cache.put("tear", b"rewritten", 0).unwrap();
         drop(cache);
         let cache = ValidatorCache::open(backend, 7).unwrap();
-        assert_eq!(cache.get("tear").as_deref(), Some(&b"rewritten"[..]));
+        assert_eq!(cache.get("tear", 0).as_deref(), Some(&b"rewritten"[..]));
     }
 
     #[test]
     fn uncommitted_crash_replays_a_conservative_superset_at_the_old_epoch() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 11).unwrap();
-        cache.put("https://a/x", b"etag-1").unwrap();
+        cache.put("https://a/x", b"etag-1", 1).unwrap();
         cache.commit_epoch(1).unwrap();
         // Epoch 2's crawl gets partway — new and updated validators are
         // journaled — and then the process dies before commit_epoch(2).
-        cache.put("https://a/x", b"etag-2").unwrap();
-        cache.put("https://a/z", b"etag-new").unwrap();
+        cache.put("https://a/x", b"etag-2", 2).unwrap();
+        cache.put("https://a/z", b"etag-new", 2).unwrap();
         drop(cache);
 
         let cache = ValidatorCache::open(backend, 11).unwrap();
@@ -312,15 +322,50 @@ mod tests {
         // entries only cost an extra conditional fetch, never a wrong
         // report.
         assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.get("https://a/x").as_deref(), Some(&b"etag-2"[..]));
-        assert_eq!(cache.get("https://a/z").as_deref(), Some(&b"etag-new"[..]));
+        assert_eq!(cache.get("https://a/x", 2).as_deref(), Some(&b"etag-2"[..]));
+        assert_eq!(
+            cache.get("https://a/z", 2).as_deref(),
+            Some(&b"etag-new"[..])
+        );
+    }
+
+    #[test]
+    fn an_entry_fetched_at_a_later_epoch_reads_as_absent() {
+        let backend = mem();
+        let cache = ValidatorCache::open(backend.clone(), 12).unwrap();
+        cache.put("https://a/old", b"etag-1", 1).unwrap();
+        cache.commit_epoch(1).unwrap();
+        // A crawl of epoch 3 dies before its commit...
+        cache.put("https://a/new", b"etag-3", 3).unwrap();
+        drop(cache);
+
+        // ...and the rerun meets a site serving epoch 2: the epoch-3 page is
+        // not served, every older one is, and a refetch at 2 replaces it.
+        let cache = ValidatorCache::open(backend.clone(), 12).unwrap();
+        assert_eq!(cache.epoch(), 1);
+        assert_eq!(cache.get("https://a/new", 2), None);
+        assert_eq!(
+            cache.get("https://a/old", 2).as_deref(),
+            Some(&b"etag-1"[..])
+        );
+        assert_eq!(
+            cache.get("https://a/new", 3).as_deref(),
+            Some(&b"etag-3"[..])
+        );
+        cache.put("https://a/new", b"etag-2", 2).unwrap();
+        drop(cache);
+        let cache = ValidatorCache::open(backend, 12).unwrap();
+        assert_eq!(
+            cache.get("https://a/new", 2).as_deref(),
+            Some(&b"etag-2"[..])
+        );
     }
 
     #[test]
     fn committing_the_held_epoch_appends_nothing() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 3).unwrap();
-        cache.put("https://a/x", b"etag-1").unwrap();
+        cache.put("https://a/x", b"etag-1", 0).unwrap();
         cache.commit_epoch(1).unwrap();
         let size = backend.read(VALIDATOR_FILE).unwrap().unwrap().len();
         for _ in 0..3 {
@@ -334,13 +379,13 @@ mod tests {
     fn open_counts_are_taken_once_per_handle() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 1).unwrap();
-        cache.put("k", b"v").unwrap();
+        cache.put("k", b"v", 0).unwrap();
         assert_eq!(cache.take_open_counts(), (0, false));
         drop(cache);
         let cache = ValidatorCache::open(backend.clone(), 2).unwrap();
         assert_eq!(cache.take_open_counts(), (0, true), "a reset open");
         assert_eq!(cache.take_open_counts(), (0, false));
-        cache.put("k", b"v").unwrap();
+        cache.put("k", b"v", 0).unwrap();
         drop(cache);
         let cache = ValidatorCache::open(backend, 2).unwrap();
         assert_eq!(cache.take_open_counts(), (1, false));
@@ -353,17 +398,17 @@ mod tests {
     fn churned(backend: Arc<dyn Backend>) -> ValidatorCache {
         let cache = ValidatorCache::open(backend, 5).unwrap();
         for round in 0..5u8 {
-            cache.put("https://a/hot", &[round; 32]).unwrap();
+            cache.put("https://a/hot", &[round; 32], 0).unwrap();
         }
-        cache.put("https://a/cold", b"etag-cold").unwrap();
+        cache.put("https://a/cold", b"etag-cold", 0).unwrap();
         cache
     }
 
     fn assert_churned_map(cache: &ValidatorCache) {
         assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.get("https://a/hot"), Some(vec![4u8; 32]));
+        assert_eq!(cache.get("https://a/hot", 0), Some(vec![4u8; 32]));
         assert_eq!(
-            cache.get("https://a/cold").as_deref(),
+            cache.get("https://a/cold", 0).as_deref(),
             Some(&b"etag-cold"[..])
         );
     }
@@ -379,13 +424,13 @@ mod tests {
         assert_eq!(crate::frame::decode_all(&after).frames.len(), 3);
         assert_churned_map(&cache);
         // The checkpointed file is still appendable and replays whole.
-        cache.put("https://a/new", b"etag-new").unwrap();
+        cache.put("https://a/new", b"etag-new", 0).unwrap();
         drop(cache);
         let cache = ValidatorCache::open(backend, 5).unwrap();
         assert_eq!(cache.epoch(), 3);
         assert_eq!(cache.stats().entries, 3);
         assert!(!cache.stats().reset);
-        assert_eq!(cache.get("https://a/hot"), Some(vec![4u8; 32]));
+        assert_eq!(cache.get("https://a/hot", 0), Some(vec![4u8; 32]));
     }
 
     /// How [`CrashyBackend`] sabotages the checkpoint's atomic replace.
@@ -466,7 +511,7 @@ mod tests {
     fn damaged_header_resets_rather_than_lies() {
         let backend = mem();
         let cache = ValidatorCache::open(backend.clone(), 9).unwrap();
-        cache.put("k", b"v").unwrap();
+        cache.put("k", b"v", 0).unwrap();
         drop(cache);
 
         // Flip a byte inside the meta frame: the whole file is discarded.
@@ -476,6 +521,6 @@ mod tests {
         backend.poke(VALIDATOR_FILE, bytes);
 
         let cache = ValidatorCache::open(backend, 9).unwrap();
-        assert_eq!(cache.get("k"), None);
+        assert_eq!(cache.get("k", 0), None);
     }
 }

@@ -14,6 +14,7 @@
 //! so the incremental re-audit path can reuse their cached analyses.
 
 use crate::config::EcosystemConfig;
+use crate::drift::DriftConfig;
 use crate::plan::{BotPlan, GithubPublish, WorldPlan};
 use crate::truth::{BehaviorClass, BotTruth, GroundTruth, InviteClass, PolicyClass};
 use botlist::site::LIST_HOST;
@@ -55,9 +56,20 @@ pub struct Ecosystem {
     pub truth: GroundTruth,
     /// The umbrella account that owns every registered application.
     pub app_owner: UserId,
-    /// How this world was built, as text: its [`EcosystemConfig`] and the
-    /// drift config and epoch, if any. Equal identities mount equal worlds.
-    pub identity: String,
+    /// How this world was built, epoch excluded: see [`world_lineage`].
+    pub lineage: String,
+}
+
+/// How a world is built, as text, epoch excluded: its [`EcosystemConfig`]
+/// and, for a world built to drift ([`crate::build_ecosystem_at`]), its
+/// [`DriftConfig`]. Every epoch of one drift lineage shares it, so stored
+/// crawl state keyed by it carries from epoch to epoch but never into a
+/// world built another way.
+pub fn world_lineage(config: &EcosystemConfig, drift: Option<&DriftConfig>) -> String {
+    match drift {
+        None => format!("{config:?}"),
+        Some(drift) => format!("{config:?}|{drift:?}"),
+    }
 }
 
 /// Map a planned Discord-style permission intent onto the Telegram model:
@@ -114,15 +126,19 @@ pub fn telegram_username(name: &str) -> String {
 
 /// Build the world.
 pub fn build_ecosystem(config: &EcosystemConfig) -> Ecosystem {
-    let id = format!("{config:?}");
-    mount_world(&crate::plan::plan_world(config), config, id)
+    let lineage = world_lineage(config, None);
+    mount_world(&crate::plan::plan_world(config), config, lineage)
 }
 
-/// Materialise a (possibly drifted) plan into a mounted world whose
-/// [`Ecosystem::identity`] is `id`. Consumes no randomness: two mounts of
-/// the same plan are byte-identical, and bots the drift layer left alone
-/// serve exactly the same crawl bytes in every epoch.
-pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig, id: String) -> Ecosystem {
+/// Materialise a (possibly drifted) plan into a mounted world of lineage
+/// `lineage`. Consumes no randomness: two mounts of the same plan are
+/// byte-identical, and bots the drift layer left alone serve exactly the
+/// same crawl bytes in every epoch.
+pub(crate) fn mount_world(
+    plan: &WorldPlan,
+    config: &EcosystemConfig,
+    lineage: String,
+) -> Ecosystem {
     let clock = VirtualClock::new();
     let net = Network::with_clock(config.seed ^ 0x6e65_7473_696d, clock.clone());
     let platform = Platform::new(clock.clone());
@@ -248,7 +264,7 @@ pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig, id: String
         github,
         truth,
         app_owner,
-        identity: id,
+        lineage,
     }
 }
 

@@ -28,7 +28,7 @@
 //!   one cleans up its act (*not* crawl-visible: only the honeypot can see
 //!   it, exactly like the real ecosystem).
 
-use crate::build::{mount_world, Ecosystem};
+use crate::build::{mount_world, world_lineage, Ecosystem};
 use crate::config::{EcosystemConfig, FIGURE3_PERMISSION_RATES};
 use crate::plan::{plan_world, GithubPublish, WorldPlan};
 use crate::truth::{BehaviorClass, InviteClass, PolicyClass};
@@ -159,8 +159,7 @@ pub fn build_ecosystem_at(
     for step in 1..=epoch {
         log.push(drift_epoch(&mut plan, config, drift, step));
     }
-    let id = format!("{config:?}|{drift:?}|epoch={epoch}");
-    let eco = mount_world(&plan, config, id);
+    let eco = mount_world(&plan, config, world_lineage(config, Some(drift)));
     // Publish the crawl-visible ledger through the listing site's
     // `/changed` endpoint, so conditional-fetch crawlers can cross-check
     // their validators against what actually moved.

@@ -35,7 +35,7 @@ mod plan;
 pub mod truth;
 
 pub use arrivals::{adversarial_arrivals, Arrival, ArrivalConfig};
-pub use build::{build_ecosystem, Ecosystem};
+pub use build::{build_ecosystem, world_lineage, Ecosystem};
 pub use config::EcosystemConfig;
 pub use drift::{build_ecosystem_at, DriftConfig, DriftEvent, DriftKind, EpochDrift};
 pub use truth::{BotTruth, GithubClass, GroundTruth, InviteClass, PolicyClass};

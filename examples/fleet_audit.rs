@@ -7,7 +7,7 @@
 //! Each tenant owns a world (different seed), submits an epoch-0 baseline
 //! audit, then a month later re-audits epoch 1 of the same world. The
 //! always-on fleet daemon runs every job over one shared worker pool,
-//! journals each tenant into a private scoped store, and diffs every
+//! keeps each tenant's files in a private scoped store, and diffs every
 //! re-audit against the tenant's previous report. The interesting outputs
 //! are the [`DeltaReport`]s — who drifted, whose traceability flipped,
 //! who gained permissions — and the artifact-pack hit counters showing

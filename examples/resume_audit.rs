@@ -1,16 +1,17 @@
-//! Crash-safe audits: kill a run mid-pipeline, resume it, and verify the
-//! resumed report is byte-identical to one that was never interrupted.
+//! Crash-safe audits: kill a run mid-pipeline, rerun it over the same
+//! store, and verify the rerun's report is byte-identical to one that was
+//! never interrupted.
 //!
 //! ```sh
 //! cargo run --example resume_audit
 //! ```
 //!
-//! The pipeline journals every completed unit of work (listing traversal,
-//! 32-listing crawl chunks, the honeypot campaign) to a write-ahead log,
-//! and stores each bot's analysis in a content-addressed artifact pack at
-//! the address its crawled bytes hash to. A resumed run replays the
-//! journal, serves every analysis already in the pack, and finishes the
-//! rest.
+//! The pipeline keeps every page it crawls in a validator cache, keyed by
+//! URL, and stores each bot's analysis in a content-addressed artifact pack
+//! at the address its crawled bytes hash to (each honeypot guild's
+//! transcript too, keyed by its bot's identity). A rerun after a crash
+//! answers every page the killed run crawled with a 304, serves every
+//! analysis already in the pack, and finishes the rest.
 
 use chatbot_audit::{AuditConfig, AuditError, AuditPipeline, StoreConfig};
 use std::sync::Arc;
@@ -39,23 +40,25 @@ fn main() {
 
     // Reference: one uninterrupted run on a throwaway store.
     println!("[1/3] uninterrupted run (reference)");
-    let reference = AuditPipeline::new(config())
+    let first = AuditPipeline::new(config());
+    let reference = first
         .run_resumable(&world(), &StoreConfig::in_memory(), SEED)
         .expect("uninterrupted run completes");
     println!(
-        "      {} journal frames written, {} analyses computed\n",
-        reference.store_stats.frames_written, reference.store_stats.artifact_misses
+        "      {} pages fetched in full, {} analyses computed\n",
+        first.obs().counter_value("crawl.fetched_full"),
+        reference.store_stats.artifact_misses
     );
 
     // Crash: same run on a persistent backend, killed after 40 durable
-    // writes (journal frames, plus the pack frame each computed analysis
-    // writes). (MemBackend keeps this example hermetic; swap in
-    // `StoreConfig::on_disk(path)` to survive a real process kill.)
+    // writes (the pack frame each computed analysis writes, plus one for
+    // the campaign's guild transcripts). (MemBackend keeps this example
+    // hermetic; swap in `StoreConfig::on_disk(path)` to survive a real
+    // process kill.)
     println!("[2/3] crash: kill switch armed at 40 durable writes");
     let backend = Arc::new(MemBackend::new());
     let killed = StoreConfig {
         backend: backend.clone(),
-        resume: false,
         kill_after_frames: Some(40),
     };
     match AuditPipeline::new(config()).run_resumable(&world(), &killed, SEED) {
@@ -65,21 +68,24 @@ fn main() {
         other => panic!("expected an interrupt, got {other:?}"),
     }
 
-    // Resume: fresh pipeline, fresh world (a new process would look exactly
+    // Rerun: fresh pipeline, fresh world (a new process would look exactly
     // like this), same backend.
-    println!("[3/3] resume from the journal");
-    let resumed_store = StoreConfig {
+    println!("[3/3] rerun over the same store");
+    let rerun_store = StoreConfig {
         backend,
-        resume: true,
         kill_after_frames: None,
     };
-    let resumed = AuditPipeline::new(config())
-        .run_resumable(&world(), &resumed_store, SEED)
-        .expect("resumed run completes");
-    // Analyses computed before the crash are served from the pack.
+    let rerun = AuditPipeline::new(config());
+    let resumed = rerun
+        .run_resumable(&world(), &rerun_store, SEED)
+        .expect("rerun completes");
+    // Pages crawled before the crash answer a 304, and analyses computed
+    // before it are served from the pack.
     println!(
-        "      replayed {} frames, served {} analyses from the pack, computed {} fresh",
-        resumed.store_stats.frames_replayed,
+        "      revalidated {} pages, fetched {} in full, served {} analyses from the \
+         pack, computed {} fresh",
+        rerun.obs().counter_value("crawl.validated"),
+        rerun.obs().counter_value("crawl.fetched_full"),
         resumed.store_stats.artifact_hits,
         resumed.store_stats.artifact_misses,
     );
@@ -87,7 +93,7 @@ fn main() {
     let reference_json = reference.report.canonical_json();
     let resumed_json = resumed.report.canonical_json();
     println!(
-        "\ncanonical report: {} bytes uninterrupted, {} bytes resumed",
+        "\ncanonical report: {} bytes uninterrupted, {} bytes after the rerun",
         reference_json.len(),
         resumed_json.len()
     );

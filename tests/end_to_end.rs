@@ -156,7 +156,7 @@ fn crawl_stats_account_for_defenses() {
 fn crawl_counters_agree_between_in_memory_and_journaled_runs() {
     use chatbot_audit::StoreConfig;
     // The defended world of `crawl_stats_account_for_defenses`, crawled
-    // once in memory and once through the journal: one execution path, so
+    // once in memory and once through the store: one execution path, so
     // the crawl accounting must not depend on which entry point ran it.
     let defended = || {
         build_ecosystem(&EcosystemConfig {

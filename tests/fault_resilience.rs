@@ -10,12 +10,14 @@
 //! damaged frames themselves.
 
 use botlist::LIST_HOST;
-use chatbot_audit::{AuditConfig, AuditError, AuditPipeline, StoreConfig};
+use chatbot_audit::{validator_identity, AuditConfig, AuditError, AuditPipeline, StoreConfig};
 use crawler::crawl::{crawl_listing, CrawlConfig};
+use crawler::incremental::{detail_body_key, detail_key, CachedListing, LISTING_KEY};
+use honeypot::campaign::GuildSnapshot;
 use netsim::fault::{FaultPlan, FaultyBackend, StorageFaultPlan};
 use netsim::latency::LatencyModel;
 use std::sync::Arc;
-use store::{Backend, Frame, Journal, MemBackend, JOURNAL_FILE};
+use store::{ArtifactCache, Backend, Frame, Journal, MemBackend, ValidatorCache, PACK_FILE};
 use synth::{build_ecosystem, EcosystemConfig};
 
 fn flaky_world(seed: u64) -> synth::Ecosystem {
@@ -94,7 +96,7 @@ fn single_attempt_crawler_loses_listings_on_the_same_site() {
 }
 
 // ---------------------------------------------------------------------------
-// Storage faults: the journal and pipeline against a crash-prone disk.
+// Storage faults: the frame log and pipeline against a crash-prone disk.
 // ---------------------------------------------------------------------------
 
 fn small_world(seed: u64) -> synth::Ecosystem {
@@ -123,7 +125,7 @@ fn torn_appends_lose_only_the_damaged_suffix() {
         StorageFaultPlan::crashy(),
         0xdead,
     ));
-    let (journal, _) = Journal::open(faulty, JOURNAL_FILE).unwrap();
+    let (journal, _) = Journal::open(faulty, "frames.wal").unwrap();
     let written: Vec<Frame> = (0..60)
         .map(|i| Frame {
             kind: 0x0100,
@@ -136,7 +138,7 @@ fn torn_appends_lose_only_the_damaged_suffix() {
     }
     drop(journal);
 
-    let (_, replay) = Journal::open(inner, JOURNAL_FILE).unwrap();
+    let (_, replay) = Journal::open(inner, "frames.wal").unwrap();
     assert!(
         replay.frames.len() < written.len(),
         "crashy plan must actually damage something"
@@ -154,7 +156,7 @@ fn torn_appends_lose_only_the_damaged_suffix() {
 
 #[test]
 fn audit_converges_to_identical_bytes_on_crash_prone_storage() {
-    // Crash every 15 frames on a disk that tears ~15% of appends. Durable
+    // Crash every 15 writes on a disk that tears ~15% of appends. Durable
     // progress shrinks to the longest valid prefix on every reopen, but the
     // run must still converge to the uninterrupted run's exact bytes.
     let baseline = AuditPipeline::new(small_config())
@@ -169,7 +171,7 @@ fn audit_converges_to_identical_bytes_on_crash_prone_storage() {
         9,
     ));
     let mut attempts = 0;
-    let outcome = loop {
+    let (outcome, validated) = loop {
         attempts += 1;
         assert!(
             attempts <= 60,
@@ -177,11 +179,11 @@ fn audit_converges_to_identical_bytes_on_crash_prone_storage() {
         );
         let store = StoreConfig {
             backend: faulty.clone(),
-            resume: attempts > 1,
             kill_after_frames: Some(15),
         };
-        match AuditPipeline::new(small_config()).run_resumable(&small_world(2022), &store, 2022) {
-            Ok(outcome) => break outcome,
+        let pipeline = AuditPipeline::new(small_config());
+        match pipeline.run_resumable(&small_world(2022), &store, 2022) {
+            Ok(outcome) => break (outcome, pipeline.obs().counter_value("crawl.validated")),
             Err(AuditError::Interrupted { .. }) => continue,
             Err(other) => panic!("unexpected failure: {other}"),
         }
@@ -189,25 +191,26 @@ fn audit_converges_to_identical_bytes_on_crash_prone_storage() {
     assert!(attempts > 1, "kill switch must fire at least once");
     assert_eq!(outcome.report.canonical_json(), baseline);
     assert!(
-        outcome.store_stats.frames_replayed > 0,
+        outcome.store_stats.artifact_hits > 0 && validated > 0,
         "durable progress survived the tears"
     );
 }
 
 #[test]
 fn short_reads_cost_rework_never_correctness() {
-    // Complete a run on clean storage, then resume through a backend whose
-    // every read comes up short: the journal and artifact pack both shrink
-    // to a valid prefix, and the pipeline silently re-does the difference.
+    // Complete a run on clean storage, then rerun through a backend whose
+    // every read comes up short: the artifact pack and validator cache
+    // both shrink to a valid prefix, and the pipeline silently re-does the
+    // difference.
     let inner = Arc::new(MemBackend::new());
     let clean = StoreConfig {
         backend: inner.clone(),
-        resume: false,
         kill_after_frames: None,
     };
     let full = AuditPipeline::new(small_config())
         .run_resumable(&small_world(7), &clean, 7)
         .expect("clean run completes");
+    let guilds = full.report.honeypot.as_ref().unwrap().guilds_created as u64;
 
     let short = StorageFaultPlan {
         torn_write: 0.0,
@@ -217,76 +220,114 @@ fn short_reads_cost_rework_never_correctness() {
     let faulty: Arc<dyn Backend> = Arc::new(FaultyBackend::new(inner, short, 3));
     let store = StoreConfig {
         backend: faulty,
-        resume: true,
         kill_after_frames: None,
     };
-    let redo = AuditPipeline::new(small_config())
+    let pipeline = AuditPipeline::new(small_config());
+    let redo = pipeline
         .run_resumable(&small_world(7), &store, 7)
         .expect("short reads must not fail the run");
 
     assert_eq!(redo.report.canonical_json(), full.report.canonical_json());
+    let reused =
+        redo.store_stats.artifact_hits + pipeline.obs().counter_value("honeypot.guilds_reused");
+    let stored = full.store_stats.artifact_misses + guilds;
     assert!(
-        redo.store_stats.frames_replayed < full.store_stats.frames_written,
-        "a short read always loses at least the completion frame ({} vs {})",
-        redo.store_stats.frames_replayed,
-        full.store_stats.frames_written,
+        reused < stored,
+        "a short read always loses at least the pack's last frame ({reused} vs {stored})",
     );
 }
 
 #[test]
 fn undecodable_frames_are_recomputed_not_fatal() {
-    use chatbot_audit::{K_CRAWL_UNIT, K_HONEYPOT, K_LISTING};
-    let baseline = AuditPipeline::new(small_config())
+    let config = small_config();
+    let clean = AuditPipeline::new(config.clone())
         .run_resumable(&small_world(2022), &StoreConfig::in_memory(), 2022)
-        .expect("clean run completes")
-        .report
-        .canonical_json();
+        .expect("clean run completes");
+    let baseline = clean.report.canonical_json();
 
+    // A run killed once every analysis is written: its crawl committed the
+    // validator cache, and its campaign never stored a transcript.
     let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
     let killed = StoreConfig {
         backend: backend.clone(),
-        resume: false,
-        kill_after_frames: Some(10),
+        kill_after_frames: Some(clean.store_stats.artifact_misses),
     };
-    AuditPipeline::new(small_config())
+    AuditPipeline::new(config.clone())
         .run_resumable(&small_world(2022), &killed, 2022)
         .expect_err("kill switch fires");
-    // Frames that pass their CRC but not the decoder, as an older build
-    // writing under the same fingerprint might have left them. Later
-    // frames win on replay, so each shadows whatever unit was recorded
-    // under its key before it.
-    let (journal, _) = Journal::open(backend.clone(), JOURNAL_FILE).unwrap();
-    for kind in [K_LISTING, K_CRAWL_UNIT, K_HONEYPOT] {
-        journal.append(kind, 0, b"\xffnot a unit".to_vec()).unwrap();
-    }
-    drop(journal);
 
-    let pipeline = AuditPipeline::new(small_config());
-    let resumed = StoreConfig {
+    // Entries that pass their CRC but not the decoder, as an older build
+    // writing under the same identity might have left them: the listing,
+    // one bot's validator record and another bot's cached body, all at the
+    // epoch the undrifted site serves.
+    let garbage = b"\xffnot an entry";
+    let identity = validator_identity(&config, 2022, &small_world(2022).lineage);
+    let cache = ValidatorCache::open(backend.clone(), identity).unwrap();
+    let listing: CachedListing =
+        serde_json::from_slice(&cache.get(LISTING_KEY, 0).expect("a cached listing")).unwrap();
+    cache.put(LISTING_KEY, garbage, 0).unwrap();
+    cache
+        .put(&detail_key(&listing.hrefs[0]), garbage, 0)
+        .unwrap();
+    cache
+        .put(&detail_body_key(&listing.hrefs[1]), garbage, 0)
+        .unwrap();
+    drop(cache);
+    // And one guild transcript's address, found among the clean run's
+    // referenced keys on a copy of its pack.
+    let reference = Arc::new(MemBackend::new());
+    let reference_run = StoreConfig {
+        backend: reference.clone(),
+        kill_after_frames: None,
+    };
+    let referenced = AuditPipeline::new(config.clone())
+        .run_resumable(&small_world(2022), &reference_run, 2022)
+        .unwrap()
+        .referenced_keys;
+    let reference_pack = ArtifactCache::open(reference, PACK_FILE).unwrap();
+    let transcript = referenced
+        .into_iter()
+        .find(|key| {
+            reference_pack
+                .get(key)
+                .is_some_and(|blob| serde_json::from_slice::<GuildSnapshot>(&blob).is_ok())
+        })
+        .expect("the campaign stored a transcript");
+    let pack = ArtifactCache::open(backend.clone(), PACK_FILE).unwrap();
+    pack.put(transcript, garbage).unwrap();
+    drop(pack);
+
+    let pipeline = AuditPipeline::new(config);
+    let rerun = StoreConfig {
         backend,
-        resume: true,
         kill_after_frames: None,
     };
     let outcome = pipeline
-        .run_resumable(&small_world(2022), &resumed, 2022)
-        .expect("undecodable frames are recomputed, not fatal");
+        .run_resumable(&small_world(2022), &rerun, 2022)
+        .expect("undecodable entries are recomputed, not fatal");
     assert_eq!(outcome.report.canonical_json(), baseline);
-    assert_eq!(pipeline.obs().counter_value("store.journal.undecodable"), 3);
+    assert_eq!(
+        pipeline.obs().counter_value("store.artifacts.undecodable"),
+        1
+    );
+    // Every analysis the killed run stored is served, and the planted
+    // transcript is no guild's: the campaign drives every guild.
+    assert_eq!(outcome.store_stats.artifact_misses, 0);
+    assert_eq!(pipeline.obs().counter_value("honeypot.guilds_reused"), 0);
 }
 
 #[test]
 fn flaky_network_and_resume_compose() {
     // The two fault domains together: crash mid-run on a flaky *network*,
-    // then resume against a fresh flaky world. Fault rolls draw from the
-    // fabric's shared request stream, so a resumed run is NOT expected to
-    // match an uninterrupted one — what must hold is that the crash+resume
+    // then rerun against a fresh flaky world. Fault rolls draw from the
+    // fabric's shared request stream, so a rerun is NOT expected to match
+    // an uninterrupted one — what must hold is that the crash+rerun
     // sequence itself is deterministic: replay the identical schedule on a
     // second backend and the two final reports are byte-equal.
     let crash_and_resume = || {
         let backend: Arc<dyn Backend> = Arc::new(MemBackend::new());
         let killed = StoreConfig {
             backend: backend.clone(),
-            resume: false,
             kill_after_frames: Some(30),
         };
         AuditPipeline::new(small_config())
@@ -294,21 +335,22 @@ fn flaky_network_and_resume_compose() {
             .expect_err("kill switch fires");
         let resumed = StoreConfig {
             backend,
-            resume: true,
             kill_after_frames: None,
         };
-        AuditPipeline::new(small_config())
+        let pipeline = AuditPipeline::new(small_config());
+        let outcome = pipeline
             .run_resumable(&flaky_world(71), &resumed, 71)
-            .expect("resumes through network noise")
+            .expect("resumes through network noise");
+        (outcome, pipeline.obs().counter_value("crawl.validated"))
     };
-    let first = crash_and_resume();
-    let second = crash_and_resume();
+    let (first, validated) = crash_and_resume();
+    let (second, _) = crash_and_resume();
     assert_eq!(
         first.report.canonical_json(),
         second.report.canonical_json()
     );
     assert!(
-        first.store_stats.frames_replayed + first.store_stats.artifact_hits >= 30,
+        first.store_stats.artifact_hits >= 30 && validated > 0,
         "durable progress was reused"
     );
 }

@@ -67,8 +67,8 @@ fn different_seeds_produce_different_traces() {
 #[test]
 fn resumable_runs_trace_the_same_static_tree_shape() {
     // The journaled pipeline opens the same root spans; its trace is
-    // deterministic across worker counts too (replay spans are keyed by
-    // unit index, never by worker).
+    // deterministic across worker counts too (unit and bot spans are keyed
+    // by index, never by worker).
     let resumable_trace = |workers: usize| {
         let eco = build_ecosystem(&EcosystemConfig::test_scale(BOTS, 2022));
         let recorder = Arc::new(JsonRecorder::new());
